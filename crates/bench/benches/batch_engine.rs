@@ -1,15 +1,15 @@
 //! Bench for the cached batch-query engine: cold per-query execution
 //! (skyline rebuilt from scratch for every query, as the one-shot
-//! `TimeRangeKCoreQuery` API does) versus warm batched execution through
-//! `QueryEngine` (one span-wide skyline per `k`, restricted per query and
-//! fanned across threads).  The warm rows amortise the CoreTime phase to
+//! `TimeRangeKCoreQuery` API does) versus warm batched execution through a
+//! `ShardPlan::Span` `ShardedEngine` (one span-wide skyline per `k`,
+//! restricted per query and fanned across threads).  The warm rows amortise the CoreTime phase to
 //! ~zero, which is the acceptance target of this subsystem on the EM
 //! profile.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use tkc_datasets::{DatasetProfile, DatasetStats, QueryWorkload, WorkloadConfig};
-use tkcore::{Algorithm, CountingSink, QueryEngine, TimeRangeKCoreQuery};
+use tkcore::{Algorithm, CountingSink, ShardPlan, ShardedEngine, TimeRangeKCoreQuery};
 
 fn bench_batch_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("batch_engine");
@@ -38,7 +38,8 @@ fn bench_batch_engine(c: &mut Criterion) {
             });
         });
 
-        let engine = QueryEngine::new(graph.clone());
+        let engine =
+            ShardedEngine::new(graph.clone(), ShardPlan::Span).expect("the span plan resolves");
         engine.warm(workload.k);
         group.bench_with_input(BenchmarkId::new("warm_batched", name), &engine, |b, eng| {
             b.iter(|| {
@@ -47,13 +48,15 @@ fn bench_batch_engine(c: &mut Criterion) {
             });
         });
 
-        let sequential = QueryEngine::with_config(
+        let sequential = ShardedEngine::with_config(
             graph.clone(),
+            ShardPlan::Span,
             tkcore::EngineConfig {
                 num_threads: 1,
                 ..tkcore::EngineConfig::default()
             },
-        );
+        )
+        .expect("the span plan resolves");
         sequential.warm(workload.k);
         group.bench_with_input(
             BenchmarkId::new("warm_sequential", name),

@@ -1,6 +1,6 @@
 //! Bench for the time-interval sharded engine: span-wide cold index builds
-//! versus per-shard builds, warm batched execution through `ShardedEngine`
-//! versus `QueryEngine`, and the boundary-stitch index versus the transient
+//! versus per-shard builds, warm batched execution over 4 shards versus the
+//! unsharded `ShardPlan::Span` layout, and the boundary-stitch index versus the transient
 //! merged-skyline pass on boundary-spanning workloads.  The per-shard build
 //! rows must not exceed the span-wide ones (shard skylines drop every
 //! cut-crossing window, so the total sweep work shrinks); short windows
@@ -14,9 +14,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use tkc_datasets::{DatasetProfile, DatasetStats, QueryWorkload, WorkloadConfig};
-use tkcore::{
-    EdgeCoreSkyline, EngineConfig, QueryEngine, ShardPlan, ShardedEngine, TimeRangeKCoreQuery,
-};
+use tkcore::{EdgeCoreSkyline, EngineConfig, ShardPlan, ShardedEngine, TimeRangeKCoreQuery};
 
 const SHARDS: usize = 4;
 
@@ -62,7 +60,8 @@ fn bench_sharded_engine(c: &mut Criterion) {
             },
         );
 
-        let span_engine = QueryEngine::new(graph.clone());
+        let span_engine =
+            ShardedEngine::new(graph.clone(), ShardPlan::Span).expect("the span plan resolves");
         span_engine.warm(k);
         group.bench_with_input(
             BenchmarkId::new("warm_span_batch", name),

@@ -492,7 +492,8 @@ fn engine_batch(num_queries: usize) -> Report {
         }
         let cold = t0.elapsed();
 
-        let engine = tkcore::QueryEngine::new(graph.clone());
+        let engine = tkcore::ShardedEngine::new(graph.clone(), tkcore::ShardPlan::Span)
+            .expect("the span plan resolves");
         let t1 = Instant::now();
         let (_, first) = engine
             .run_batch(&queries)

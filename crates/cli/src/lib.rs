@@ -14,9 +14,9 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use tkc_datasets::{ArrivalProfile, DatasetProfile, DatasetStats, EventStream, EventStreamConfig};
 use tkcore::{
-    Affinity, Algorithm, CacheStats, CachedBackend, CoreBackend, CoreService, CountingSink,
-    IngestDelta, IngestEvent, KOutput, Lane, QueryEngine, QueryRequest, SealPolicy, ServerConfig,
-    ServiceConfig, ShardPlan, ShardedBackend, ShardedEngine, TkError, TkServer,
+    Affinity, Algorithm, CacheStats, CoreBackend, CoreService, CountingSink, IngestDelta,
+    IngestEvent, KOutput, Lane, QueryRequest, SealPolicy, ServerConfig, ServiceConfig, ShardPlan,
+    ShardedBackend, ShardedEngine, TkError, TkServer,
 };
 
 /// Errors reported to the CLI user.
@@ -202,7 +202,7 @@ pub enum Command {
         output: OutputKind,
         /// Print at most this many cores per `k`.
         limit: usize,
-        /// Time-interval shards (0 = unsharded span-wide engine).
+        /// Time-interval shards (0 = one span-wide shard, `ShardPlan::Span`).
         shards: usize,
         /// Serve through a CoreService with this many workers (0 = direct).
         workers: usize,
@@ -221,7 +221,7 @@ pub enum Command {
         threads: usize,
         /// Skyline-cache memory budget in MiB.
         budget_mb: usize,
-        /// Time-interval shards (0 = unsharded span-wide engine).
+        /// Time-interval shards (0 = one span-wide shard, `ShardPlan::Span`).
         shards: usize,
         /// Serve through a CoreService with this many workers (0 = direct
         /// engine batch).
@@ -260,7 +260,7 @@ pub enum Command {
         path: String,
         /// Listen address (`HOST:PORT`; port 0 picks an ephemeral port).
         addr: String,
-        /// Time-interval shards (0 = unsharded span-wide engine).
+        /// Time-interval shards (0 = one span-wide shard, `ShardPlan::Span`).
         shards: usize,
         /// Service worker threads (0 = one per CPU).
         workers: usize,
@@ -362,11 +362,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 match flag {
                     "--shards" => {
                         shards = parse_num(value("--shards")?, "--shards")?;
-                        if shards == 0 {
-                            return Err(CliError(
-                                "--shards: live ingestion needs at least 1 shard".into(),
-                            ));
-                        }
                         i += 1;
                     }
                     "--workers" => {
@@ -1050,6 +1045,15 @@ fn write_batch_summary(out: &mut String, algorithm: Algorithm, batch: &tkcore::B
     );
 }
 
+/// The engine layout for `--shards`: `0` is one span-wide shard, `n` cuts
+/// the timeline into `n` near-equal shards.
+fn plan_for(shards: usize) -> ShardPlan {
+    match shards {
+        0 => ShardPlan::Span,
+        n => ShardPlan::FixedCount(n),
+    }
+}
+
 /// Writes the skyline-cache counters, with the per-shard build breakdown
 /// when the engine is sharded.
 fn write_cache_summary(out: &mut String, cache: &CacheStats) {
@@ -1066,9 +1070,9 @@ fn write_cache_summary(out: &mut String, cache: &CacheStats) {
 }
 
 /// Writes the per-shard build breakdown of a sharded engine's cache; a no-op
-/// for the unsharded engine (whose `per_shard` is empty).
+/// for the one-shard span-wide engine.
 fn write_shard_builds(out: &mut String, cache: &CacheStats) {
-    if !cache.per_shard.is_empty() {
+    if cache.per_shard.len() > 1 {
         let builds: Vec<u64> = cache.per_shard.iter().map(|s| s.builds).collect();
         let _ = writeln!(
             out,
@@ -1213,11 +1217,7 @@ pub fn run(command: Command) -> Result<String, CliError> {
                     admission_memory_bytes: None,
                     engine: engine_config,
                 };
-                let service = if shards > 0 {
-                    CoreService::start_sharded(graph, ShardPlan::FixedCount(shards), config)?
-                } else {
-                    CoreService::start(graph, config)
-                };
+                let service = CoreService::start_sharded(graph, plan_for(shards), config)?;
                 let tickets: Vec<tkcore::Ticket> = parsed
                     .iter()
                     .map(|query| {
@@ -1261,16 +1261,9 @@ pub fn run(command: Command) -> Result<String, CliError> {
                 write_cache_summary(&mut out, &service.cache_stats());
                 service.shutdown();
             } else {
-                let (results, batch) = if shards > 0 {
-                    ShardedEngine::with_config(graph, ShardPlan::FixedCount(shards), engine_config)?
-                        .run_batch_with(&parsed, algorithm, |_| CountingSink::default())?
-                } else {
-                    QueryEngine::with_config(graph, engine_config).run_batch_with(
-                        &parsed,
-                        algorithm,
-                        |_| CountingSink::default(),
-                    )?
-                };
+                let (results, batch) =
+                    ShardedEngine::with_config(graph, plan_for(shards), engine_config)?
+                        .run_batch_with(&parsed, algorithm, |_| CountingSink::default())?;
                 let rows: Vec<(u64, u64)> = results
                     .iter()
                     .map(|(sink, _)| (sink.num_cores, sink.total_edges))
@@ -1342,8 +1335,7 @@ pub fn run(command: Command) -> Result<String, CliError> {
                     admission_memory_bytes: None,
                     engine: engine_config,
                 };
-                let service =
-                    CoreService::start_sharded(graph, ShardPlan::FixedCount(shards), config)?;
+                let service = CoreService::start_sharded(graph, plan_for(shards), config)?;
                 let before = service.cache_stats();
                 let started = std::time::Instant::now();
                 for chunk in stream.chunks(batch) {
@@ -1429,7 +1421,7 @@ pub fn run(command: Command) -> Result<String, CliError> {
             } else {
                 let engine = Arc::new(ShardedEngine::with_config(
                     graph,
-                    ShardPlan::FixedCount(shards),
+                    plan_for(shards),
                     engine_config,
                 )?);
                 let before = engine.cache_stats();
@@ -1502,11 +1494,7 @@ pub fn run(command: Command) -> Result<String, CliError> {
             if queue_depth > 0 {
                 config.queue_depth = queue_depth;
             }
-            let service = Arc::new(if shards > 0 {
-                CoreService::start_sharded(graph, ShardPlan::FixedCount(shards), config)?
-            } else {
-                CoreService::start(graph, config)
-            });
+            let service = Arc::new(CoreService::start_sharded(graph, plan_for(shards), config)?);
             let server = TkServer::bind(
                 Arc::clone(&service),
                 addr.as_str(),
@@ -1658,15 +1646,7 @@ pub fn run(command: Command) -> Result<String, CliError> {
                     affinity,
                     ..ServiceConfig::default()
                 };
-                let service = if shards > 0 {
-                    CoreService::start_sharded(
-                        graph.clone(),
-                        ShardPlan::FixedCount(shards),
-                        config,
-                    )?
-                } else {
-                    CoreService::start(graph.clone(), config)
-                };
+                let service = CoreService::start_sharded(graph.clone(), plan_for(shards), config)?;
                 let reply = service.submit_with(request, algorithm)?.wait()?;
                 service_note = Some(format!(
                     "service: {} workers ({affinity} affinity), request {} queued {:?}, \
@@ -1680,28 +1660,15 @@ pub fn run(command: Command) -> Result<String, CliError> {
                 let cache = service.cache_stats();
                 service.shutdown();
                 (reply.response, Some(cache))
-            } else if shards > 0 {
-                let engine = Arc::new(ShardedEngine::new(
-                    graph.clone(),
-                    ShardPlan::FixedCount(shards),
-                )?);
+            } else if shards == 0 && matches!(ks, KSpec::Single(_)) {
+                (request.run(&graph, &algorithm as &dyn CoreBackend)?, None)
+            } else {
+                let engine = Arc::new(ShardedEngine::new(graph.clone(), plan_for(shards))?);
                 let backend = ShardedBackend::with_algorithm(Arc::clone(&engine), algorithm);
+                // Run against the engine's own snapshot so the backend's
+                // O(1) identity fast path applies.
                 let response = request.run(&engine.graph(), &backend)?;
                 (response, Some(engine.cache_stats()))
-            } else {
-                match ks {
-                    KSpec::Range(..) => {
-                        let engine = Arc::new(QueryEngine::new(graph.clone()));
-                        let backend = CachedBackend::with_algorithm(Arc::clone(&engine), algorithm);
-                        // Run against the engine's own graph so the backend's
-                        // O(1) identity fast path applies.
-                        let response = request.run(engine.graph(), &backend)?;
-                        (response, Some(engine.cache_stats()))
-                    }
-                    KSpec::Single(_) => {
-                        (request.run(&graph, &algorithm as &dyn CoreBackend)?, None)
-                    }
-                }
             };
             for outcome in &response.outcomes {
                 let k = outcome.k;
@@ -2258,7 +2225,11 @@ mod tests {
             "5",
         ]))
         .is_err());
-        assert!(parse_args(&strings(&["ingest", "g.txt", "ev.txt", "--shards", "0"])).is_err());
+        // `--shards 0` is one span-wide shard, which is also the live tail.
+        assert!(matches!(
+            parse_args(&strings(&["ingest", "g.txt", "ev.txt", "--shards", "0"])),
+            Ok(Command::Ingest { shards: 0, .. })
+        ));
         assert!(parse_args(&strings(&["ingest", "g.txt"])).is_err());
         assert!(parse_args(&strings(&["gen-events", "ten", "-"])).is_err());
     }

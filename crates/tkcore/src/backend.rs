@@ -1,27 +1,19 @@
 //! Pluggable query execution: the [`CoreBackend`] trait.
 //!
-//! The repository historically exposed three parallel entry points — free
-//! functions per algorithm, [`crate::TimeRangeKCoreQuery`] methods, and
-//! [`crate::QueryEngine`] — each with its own calling convention.
-//! `CoreBackend` unifies them behind one fallible seam: *something that can
-//! execute a validated `(k, window)` query against a graph, streaming cores
-//! into a sink*.  Callers and tests select execution by value instead of
-//! match-dispatching free functions:
+//! `CoreBackend` is one fallible seam over every way of answering a query:
+//! *something that can execute a validated `(k, window)` query against a
+//! graph, streaming cores into a sink*.  Callers and tests select execution
+//! by value instead of match-dispatching free functions:
 //!
 //! * every [`Algorithm`] variant is itself a backend (`Enum`, `EnumBase`,
 //!   `Otcd`, `Naive`) that builds whatever per-query state it needs;
-//! * [`CachedBackend`] wraps a shared [`QueryEngine`] so the same call shape
-//!   answers from the engine's span-wide skyline cache;
-//! * [`crate::ShardedBackend`] does the same over a
-//!   [`crate::ShardedEngine`], answering from per-`(shard, k)` skylines with
-//!   exact stitching at shard boundaries (see [`crate::shard`]).
+//! * [`crate::ShardedBackend`] answers from a shared
+//!   [`crate::ShardedEngine`]'s per-`(shard, k)` skyline cache, with exact
+//!   stitching at shard boundaries (see [`crate::shard`]).
 //!
 //! [`crate::QueryRequest`] drives a backend for multi-`k` and `k`-range
 //! requests; [`crate::CoreService`] puts a queue in front of one.
 
-use std::sync::Arc;
-
-use crate::engine::QueryEngine;
 use crate::error::TkError;
 use crate::query::{Algorithm, QueryStats, TimeRangeKCoreQuery};
 use crate::sink::ResultSink;
@@ -44,7 +36,7 @@ pub trait CoreBackend {
     /// # Errors
     /// [`TkError::KOutOfRange`] for `k == 0`; [`TkError::WindowPastTmax`]
     /// when `window` starts after `graph.tmax()`; backend-specific errors
-    /// such as [`TkError::GraphMismatch`] for [`CachedBackend`].
+    /// such as [`TkError::GraphMismatch`] for [`crate::ShardedBackend`].
     fn execute(
         &self,
         graph: &TemporalGraph,
@@ -79,19 +71,6 @@ pub(crate) fn validate_query(
     ))
 }
 
-/// The graph-identity rule shared by every engine-backed backend
-/// ([`CachedBackend`], [`crate::ShardedBackend`]): pointer equality is the
-/// O(1) fast path, an equal clone is also accepted at O(|E|) comparison
-/// cost.  Deciding [`TkError::GraphMismatch`] in one place keeps the two
-/// backends' acceptance behavior in lockstep.
-pub(crate) fn graph_matches(own: &TemporalGraph, other: &TemporalGraph) -> bool {
-    std::ptr::eq(own, other)
-        || (own.num_vertices() == other.num_vertices()
-            && own.num_edges() == other.num_edges()
-            && own.tmax() == other.tmax()
-            && own.edges() == other.edges())
-}
-
 impl CoreBackend for Algorithm {
     fn name(&self) -> &str {
         Algorithm::name(self)
@@ -109,102 +88,17 @@ impl CoreBackend for Algorithm {
     }
 }
 
-/// A backend answering from a shared [`QueryEngine`]'s skyline cache.
-///
-/// Skyline-based algorithms reuse the engine's span-wide index per `k`
-/// (built at most once, asserted via [`crate::CacheStats`]); `Otcd` and
-/// `Naive` pass through to per-query execution.  Because cached skylines are
-/// graph-specific, [`CoreBackend::execute`] refuses with
-/// [`TkError::GraphMismatch`] when handed a graph other than
-/// [`QueryEngine::graph`].
-///
-/// # Example
-///
-/// ```
-/// use std::sync::Arc;
-/// use tkcore::{paper_example, CachedBackend, CoreBackend, CountingSink, QueryEngine};
-/// use temporal_graph::TimeWindow;
-///
-/// let engine = Arc::new(QueryEngine::new(paper_example::graph()));
-/// let backend = CachedBackend::new(Arc::clone(&engine));
-/// let mut sink = CountingSink::default();
-/// let stats = backend
-///     .execute(engine.graph(), 2, TimeWindow::new(1, 4), &mut sink)
-///     .unwrap();
-/// assert_eq!(stats.num_cores, 2); // Figure 2 of the paper
-/// assert_eq!(engine.cache_stats().misses, 1);
-/// ```
-#[derive(Clone)]
-pub struct CachedBackend {
-    engine: Arc<QueryEngine>,
-    algorithm: Algorithm,
-}
-
-impl CachedBackend {
-    /// A cached backend running the paper's final algorithm (`Enum`).
-    pub fn new(engine: Arc<QueryEngine>) -> Self {
-        Self::with_algorithm(engine, Algorithm::Enum)
-    }
-
-    /// A cached backend running the chosen algorithm.
-    pub fn with_algorithm(engine: Arc<QueryEngine>, algorithm: Algorithm) -> Self {
-        Self { engine, algorithm }
-    }
-
-    /// The engine this backend answers from.
-    pub fn engine(&self) -> &QueryEngine {
-        &self.engine
-    }
-
-    /// The algorithm this backend runs.
-    pub fn algorithm(&self) -> Algorithm {
-        self.algorithm
-    }
-
-    /// Is `graph` the graph this backend's engine serves?  Pass
-    /// [`QueryEngine::graph`] to `execute` to hit the O(1) pointer fast
-    /// path of [`graph_matches`]; an equal clone costs a full O(|E|) edge
-    /// comparison per call, so hot paths should not rely on it.
-    fn serves(&self, graph: &TemporalGraph) -> bool {
-        graph_matches(self.engine.graph(), graph)
-    }
-}
-
-impl CoreBackend for CachedBackend {
-    fn name(&self) -> &str {
-        match self.algorithm {
-            Algorithm::Enum => "Cached(Enum)",
-            Algorithm::EnumBase => "Cached(EnumBase)",
-            Algorithm::Otcd => "Cached(OTCD)",
-            Algorithm::Naive => "Cached(Naive)",
-        }
-    }
-
-    fn execute(
-        &self,
-        graph: &TemporalGraph,
-        k: usize,
-        window: TimeWindow,
-        sink: &mut dyn ResultSink,
-    ) -> Result<QueryStats, TkError> {
-        if !self.serves(graph) {
-            return Err(TkError::GraphMismatch);
-        }
-        let clamped = validate_query(graph, k, window)?;
-        self.engine.run_with(
-            &TimeRangeKCoreQuery::validated(k, clamped),
-            self.algorithm,
-            sink,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::paper_example;
     use crate::sink::{CollectingSink, CountingSink};
-    use crate::TemporalKCore;
+    use crate::{ShardPlan, ShardedBackend, ShardedEngine, TemporalKCore};
+    use std::sync::Arc;
+
+    fn span_engine(g: TemporalGraph) -> Arc<ShardedEngine> {
+        Arc::new(ShardedEngine::new(g, ShardPlan::Span).unwrap())
+    }
 
     fn canonical(mut cores: Vec<TemporalKCore>) -> Vec<TemporalKCore> {
         cores.sort_by(|a, b| a.tti.cmp(&b.tti).then_with(|| a.edges.cmp(&b.edges)));
@@ -258,10 +152,9 @@ mod tests {
     #[test]
     fn cached_backend_matches_direct_execution_and_caches() {
         let g = paper_example::graph();
-        let engine = Arc::new(QueryEngine::new(g.clone()));
-        let backend = CachedBackend::new(Arc::clone(&engine));
+        let engine = span_engine(g.clone());
+        let backend = ShardedBackend::new(Arc::clone(&engine));
         assert_eq!(backend.algorithm(), Algorithm::Enum);
-        assert_eq!(backend.name(), "Cached(Enum)");
         for window in [
             paper_example::example_query_range(),
             paper_example::full_range(),
@@ -280,8 +173,7 @@ mod tests {
     #[test]
     fn cached_backend_refuses_a_foreign_graph() {
         let g = paper_example::graph();
-        let engine = Arc::new(QueryEngine::new(g));
-        let backend = CachedBackend::new(engine);
+        let backend = ShardedBackend::new(span_engine(g));
         let other = temporal_graph::TemporalGraphBuilder::new()
             .with_edges([(0u64, 1u64, 1i64), (1, 2, 2), (0, 2, 2)])
             .build()

@@ -42,7 +42,7 @@ use temporal_graph::{EdgeId, TemporalGraph, TimeWindow, Timestamp, T_INFINITY};
 /// and hands them back with their capacity intact, so steady-state queries
 /// allocate nothing (machine-checked by `tkc-lint`'s `hot-path-alloc` rule).
 ///
-/// The recycling contract: take a pair with [`SkylineScratch::take`], hand a
+/// The recycling contract: take a pair with `SkylineScratch::take`, hand a
 /// retired skyline's storage back with [`SkylineScratch::recycle`], and merge
 /// a thread-local pool into a shared one with [`SkylineScratch::absorb`].
 /// Buffers come back cleared but with capacity preserved.
@@ -75,7 +75,7 @@ impl SkylineScratch {
 }
 
 /// The edge core window skylines of every temporal edge in the query range,
-/// stored CSR-style (see the [module docs](self) for the layout).
+/// stored CSR-style (see the crate docs, *Data layout*).
 #[derive(Debug, Clone)]
 pub struct EdgeCoreSkyline {
     k: usize,
@@ -131,7 +131,7 @@ impl EdgeCoreSkyline {
     /// `O(|E_range| + |ECS_range|)`.
     ///
     /// This is the primitive behind the query engine's index reuse (see
-    /// [`crate::QueryEngine`]).
+    /// [`crate::ShardedEngine`]).
     ///
     /// # Panics
     /// Panics if `range` is not contained in [`EdgeCoreSkyline::range`].

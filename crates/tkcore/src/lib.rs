@@ -16,9 +16,8 @@
 //!   [`TkError`] instead of a panic;
 //! * [`CoreBackend`] — pluggable execution: every [`Algorithm`] variant
 //!   (`Enum`, `EnumBase`, `Otcd`, `Naive`) is a backend, and
-//!   [`CachedBackend`] answers from a shared [`QueryEngine`]'s span-wide
-//!   skyline cache so repeated and swept queries build each index at most
-//!   once;
+//!   [`ShardedBackend`] answers from a shared [`ShardedEngine`]'s skyline
+//!   cache so repeated and swept queries build each index at most once;
 //! * [`CoreService`] — a thread-backed serving front end with a bounded
 //!   request queue, [`ServiceConfig::workers`] worker threads, admission
 //!   control ([`TkError::BudgetExceeded`]), and per-request [`RequestId`] +
@@ -31,8 +30,8 @@
 //! deques plus a shared injector; idle workers steal from the back of other
 //! lanes).  Nothing in the crate spawns transient per-call threads:
 //!
-//! * [`QueryEngine::run_batch`] and [`ShardedEngine::run_batch`] fan
-//!   queries across the engine's pool — created lazily on the first
+//! * [`ShardedEngine::run_batch`] fans queries across the engine's
+//!   pool — created lazily on the first
 //!   multi-threaded batch ([`EngineConfig::num_threads`], the calling
 //!   thread counts as one of them and participates in every batch, so
 //!   nested fan-out never deadlocks;
@@ -45,7 +44,7 @@
 //!   entries hot in one worker's hands; [`Affinity::Shared`] simply
 //!   load-balances.  Either way idle workers **steal** across lanes, so
 //!   affinity is a locality preference, never a stall.  Engines created by
-//!   `CoreService::start*` share the service's pool, so a multi-`k` sweep
+//!   [`CoreService::start_sharded`] share the service's pool, so a multi-`k` sweep
 //!   fans out on the same threads that serve requests;
 //! * a panicking request (e.g. a panicking streaming sink) is caught on
 //!   the worker: the ticket resolves to [`TkError::WorkerPanicked`], the
@@ -59,30 +58,24 @@
 //!
 //! # Sharding
 //!
-//! A span-wide skyline per `k` is the memory and cold-build bottleneck on
-//! big graphs, so the timeline can be partitioned into contiguous
-//! time-interval shards ([`ShardPlan`]): a [`ShardedEngine`] caches one
-//! [`EdgeCoreSkyline`] per `(shard, k)` lazily under the same memory budget,
-//! and [`ShardedBackend`] plugs it into the request/serving surface.
+//! [`ShardedEngine`] is the crate's one engine.  It caches one
+//! [`EdgeCoreSkyline`] per `(shard, k)` lazily under a memory budget and
+//! restricts it per query; [`ShardedBackend`] plugs it into the
+//! request/serving surface.  [`ShardPlan::Span`] is the unsharded layout,
+//! one span-wide skyline per `k`.  Since that index is the memory and
+//! cold-build bottleneck on big graphs, the other plans cut the timeline
+//! into contiguous time-interval shards.
 //!
-//! Answers stay **exact** at shard boundaries.  Every distinct temporal
-//! k-core equals the k-core of its own tightest time interval (TTI), so the
-//! cores of a query window `W` split into two disjoint classes: cores whose
-//! TTI fits inside one shard's slice of `W` — exactly the cores of that
-//! slice, served by restricting the shard's cached skyline
-//! ([`EdgeCoreSkyline::restrict`] is exact for sub-ranges) — and cores
-//! whose TTI crosses a shard cut, which per-shard skylines cannot represent
-//! and which are therefore re-verified against the merged sub-window: a
-//! transient skyline built for `W` itself, enumerated through a filter that
-//! forwards only cut-crossing TTIs.  Together the two classes reproduce the
-//! span-wide answer core for core; the `shard_equivalence` test harness
-//! asserts this for random graphs, random plans and all four algorithms.
-//! The transient index is dropped after the query, so resident memory stays
-//! bounded by the per-shard cache budget.
+//! Answers stay **exact** at shard boundaries: every core's tightest time
+//! interval either fits inside one shard's slice of the window (answered by
+//! restricting that shard's skyline) or crosses a cut (enumerated from a
+//! stitched skyline of the window).  The [`shard`] module gives the
+//! argument; the `shard_equivalence` test harness checks it for random
+//! graphs, random plans and all four algorithms.
 //!
 //! # Live ingestion
 //!
-//! The sharded stack is **appendable**: the last shard of the plan is a
+//! The engine is **appendable**: the last shard of the plan is a
 //! live tail that [`ShardedEngine::absorb`] grows with batches of
 //! time-ordered events (through a
 //! [`temporal_graph::AppendableGraph`], which rejects out-of-order and
@@ -157,12 +150,11 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use tkcore::{paper_example, CachedBackend, QueryEngine, QueryRequest};
+//! use tkcore::{paper_example, QueryRequest, ShardPlan, ShardedBackend, ShardedEngine};
 //!
-//! let graph = paper_example::graph();
-//! let engine = Arc::new(QueryEngine::new(graph.clone()));
-//! let backend = CachedBackend::new(Arc::clone(&engine));
-//! let response = QueryRequest::sweep(1..=3, 1, 7).run(&graph, &backend).unwrap();
+//! let engine = Arc::new(ShardedEngine::new(paper_example::graph(), ShardPlan::Span).unwrap());
+//! let backend = ShardedBackend::new(Arc::clone(&engine));
+//! let response = QueryRequest::sweep(1..=3, 1, 7).run(&engine.graph(), &backend).unwrap();
 //! assert_eq!(response.outcomes.len(), 3);           // per-k stats
 //! assert_eq!(engine.cache_stats().misses, 3);       // ≤ 1 build per k
 //! ```
@@ -179,8 +171,8 @@
 //!   framework;
 //! * [`run_otcd`] — the OTCD state-of-the-art competitor (Algorithm 1);
 //! * [`naive_results`] — a brute-force reference used for testing;
-//! * [`QueryEngine`] — the cached batch-query engine underneath
-//!   [`CachedBackend`] and [`CoreService`].
+//! * [`ShardedEngine`] — the cached batch-query engine underneath
+//!   [`ShardedBackend`] and [`CoreService`].
 //!
 //! The pre-redesign entry points `TimeRangeKCoreQuery::{enumerate, count}`
 //! (deprecated since the PR 2 API redesign) have been removed; see
@@ -298,11 +290,10 @@ pub mod sync;
 mod vct;
 pub mod wire;
 
-pub use backend::{CachedBackend, CoreBackend};
+pub use backend::CoreBackend;
 pub use ecs::{EdgeCoreSkyline, SkylineScratch};
 pub use engine::{
-    BatchStats, BoundaryCacheStats, CacheStats, EngineConfig, QueryEngine, ShardCacheStats,
-    WarmStats,
+    BatchStats, BoundaryCacheStats, CacheStats, EngineConfig, ShardCacheStats, WarmStats,
 };
 pub use enum_base::{enumerate_base, enumerate_base_from_graph, EnumBaseStats};
 pub use enumerate::{enumerate, enumerate_from_graph, EnumStats};

@@ -7,10 +7,9 @@
 //! * a **single `k`** (the paper's query),
 //! * a **multi-`k` set** (`{2, 5, 9}` for one dashboard panel each),
 //! * a **`k`-range sweep** (`k_min..=k_max`, e.g. to find the largest `k`
-//!   with a non-empty answer) — through a [`crate::CachedBackend`] each `k`
-//!   reuses the engine's span-wide skyline, so a sweep costs at most one
-//!   index build per `k` (and through a [`crate::ShardedBackend`] at most
-//!   one build per `(shard, k)` touched by the window);
+//!   with a non-empty answer) — through a [`crate::ShardedBackend`] a sweep
+//!   costs at most one index build per `(shard, k)` touched by the window
+//!   (one per `k` on the unsharded [`crate::ShardPlan::Span`] layout);
 //!
 //! crossed with an [`OutputMode`]: materialise every core, count them, or
 //! stream them into a caller-supplied sink.

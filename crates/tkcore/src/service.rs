@@ -5,8 +5,8 @@
 //! rejection, and per-request accounting.  `CoreService` is that seam — a
 //! persistent [`ExecPool`] of
 //! [`ServiceConfig::workers`] threads executing validated requests from
-//! **per-worker service lanes**, on either the span-wide [`QueryEngine`] or
-//! a time-interval [`ShardedEngine`]:
+//! **per-worker service lanes** on a [`ShardedEngine`] (unsharded with
+//! [`ShardPlan::Span`]):
 //!
 //! * [`CoreService::submit`] **validates synchronously** (malformed requests
 //!   never occupy queue capacity) and then applies **admission control**:
@@ -47,14 +47,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use crate::engine::{CacheStats, QueryEngine};
+use crate::engine::CacheStats;
 use crate::error::TkError;
 use crate::exec::ExecPool;
 use crate::ingest::{AbsorbStats, IngestEvent};
-use crate::query::{Algorithm, QueryStats, TimeRangeKCoreQuery};
+use crate::query::{Algorithm, TimeRangeKCoreQuery};
 use crate::request::{KOutcome, KOutput, OutputMode, QueryRequest, QueryResponse};
 use crate::shard::{ShardPlan, ShardedBackend, ShardedEngine};
-use crate::sink::{CollectingSink, CountingSink, ResultSink};
+use crate::sink::{CollectingSink, CountingSink};
 use temporal_graph::{TemporalGraph, TimeWindow};
 
 /// How [`CoreService`] routes admitted requests onto worker lanes.
@@ -65,8 +65,8 @@ pub enum Affinity {
     Shared,
     /// Route a request to the least-loaded worker owning one of the shards
     /// its window overlaps (shards are partitioned into contiguous
-    /// per-worker blocks).  Falls back to [`Affinity::Shared`] on an
-    /// unsharded engine.
+    /// per-worker blocks).  Falls back to [`Affinity::Shared`] on a
+    /// one-shard plan, where there is no partition to keep apart.
     Shard,
 }
 
@@ -520,50 +520,6 @@ impl ServiceShared {
     }
 }
 
-/// The engine a service executes on: span-wide or time-interval sharded.
-enum ServingEngine {
-    Span(Arc<QueryEngine>),
-    Sharded(Arc<ShardedEngine>),
-}
-
-impl ServingEngine {
-    /// The engine's current graph snapshot (fixed for a span engine; the
-    /// latest published snapshot for a live sharded engine).
-    fn graph(&self) -> Arc<TemporalGraph> {
-        match self {
-            ServingEngine::Span(engine) => engine.graph_arc(),
-            ServingEngine::Sharded(engine) => engine.graph(),
-        }
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        match self {
-            ServingEngine::Span(engine) => engine.cache_stats(),
-            ServingEngine::Sharded(engine) => engine.cache_stats(),
-        }
-    }
-
-    fn run_batch_with<S, F>(
-        &self,
-        queries: &[TimeRangeKCoreQuery],
-        algorithm: Algorithm,
-        make_sink: F,
-    ) -> Result<Vec<(S, QueryStats)>, TkError>
-    where
-        S: ResultSink + Send + 'static,
-        F: Fn(usize) -> S + Send + Sync + 'static,
-    {
-        match self {
-            ServingEngine::Span(engine) => engine
-                .run_batch_with(queries, algorithm, make_sink)
-                .map(|(results, _)| results),
-            ServingEngine::Sharded(engine) => engine
-                .run_batch_with(queries, algorithm, make_sink)
-                .map(|(results, _)| results),
-        }
-    }
-}
-
 /// Maps a shard to the worker lane owning its cache partition: shards are
 /// split into `workers` contiguous blocks of the timeline.
 fn lane_of_shard(shard: usize, num_shards: usize, workers: usize) -> usize {
@@ -574,21 +530,23 @@ fn lane_of_shard(shard: usize, num_shards: usize, workers: usize) -> usize {
 }
 
 /// A query-serving front end: bounded per-worker lanes + admission control
-/// over a span-wide [`QueryEngine`] or a [`ShardedEngine`], executed by a
-/// persistent work-stealing pool of [`ServiceConfig::workers`] threads.
+/// over a [`ShardedEngine`], executed by a persistent work-stealing pool of
+/// [`ServiceConfig::workers`] threads.
 ///
 /// # Example
 ///
 /// ```
-/// use tkcore::{paper_example, Algorithm, CoreService, QueryRequest, ServiceConfig};
+/// use tkcore::{paper_example, CoreService, QueryRequest, ServiceConfig, ShardPlan};
 ///
-/// let service = CoreService::start(
+/// let service = CoreService::start_sharded(
 ///     paper_example::graph(),
+///     ShardPlan::Span,
 ///     ServiceConfig {
 ///         workers: 2,
 ///         ..ServiceConfig::default()
 ///     },
-/// );
+/// )
+/// .unwrap();
 /// let ticket = service
 ///     .submit(QueryRequest::sweep(1..=3, 1, 7))
 ///     .unwrap();
@@ -600,7 +558,7 @@ fn lane_of_shard(shard: usize, num_shards: usize, workers: usize) -> usize {
 /// service.shutdown();
 /// ```
 pub struct CoreService {
-    engine: Arc<ServingEngine>,
+    engine: Arc<ShardedEngine>,
     shared: Arc<ServiceShared>,
     /// `None` only after shutdown; dropping the last reference joins the
     /// pool threads.
@@ -610,16 +568,9 @@ pub struct CoreService {
 }
 
 impl CoreService {
-    /// Starts a service owning `graph` on a span-wide engine; the engine's
-    /// batches share the service's worker pool.
-    pub fn start(graph: TemporalGraph, config: ServiceConfig) -> Self {
-        let pool = ExecPool::new(config.workers.max(1));
-        let engine = QueryEngine::with_pool(graph, config.engine, Arc::clone(&pool));
-        Self::launch(ServingEngine::Span(Arc::new(engine)), config, pool)
-    }
-
-    /// Starts a service owning `graph` on a [`ShardedEngine`] cut by `plan`;
-    /// the engine's batches share the service's worker pool.
+    /// Starts a service owning `graph` on a [`ShardedEngine`] cut by `plan`
+    /// ([`ShardPlan::Span`] for the unsharded layout); the engine's batches
+    /// share the service's worker pool.
     ///
     /// # Errors
     /// [`TkError::InvalidShardPlan`] when `plan` does not resolve against
@@ -631,32 +582,20 @@ impl CoreService {
     ) -> Result<Self, TkError> {
         let pool = ExecPool::new(config.workers.max(1));
         let engine = ShardedEngine::with_pool(graph, plan, config.engine, Arc::clone(&pool))?;
-        Ok(Self::launch(
-            ServingEngine::Sharded(Arc::new(engine)),
-            config,
-            pool,
-        ))
+        Ok(Self::launch(Arc::new(engine), config, pool))
     }
 
-    /// Starts a service over an existing (possibly shared) span-wide
-    /// engine.  If the engine has not yet created or been given a pool of
-    /// its own, it adopts the service's pool, so one set of threads serves
-    /// both layers; otherwise it keeps its existing pool.
-    pub fn over(engine: Arc<QueryEngine>, config: ServiceConfig) -> Self {
-        let pool = ExecPool::new(config.workers.max(1));
-        engine.adopt_pool(Arc::clone(&pool));
-        Self::launch(ServingEngine::Span(engine), config, pool)
-    }
-
-    /// Starts a service over an existing (possibly shared) sharded engine;
-    /// the same pool-adoption rule as [`CoreService::over`] applies.
+    /// Starts a service over an existing (possibly shared) engine.  If the
+    /// engine has not yet created or been given a pool of its own, it
+    /// adopts the service's pool, so one set of threads serves both layers;
+    /// otherwise it keeps its existing pool.
     pub fn over_sharded(engine: Arc<ShardedEngine>, config: ServiceConfig) -> Self {
         let pool = ExecPool::new(config.workers.max(1));
         engine.adopt_pool(Arc::clone(&pool));
-        Self::launch(ServingEngine::Sharded(engine), config, pool)
+        Self::launch(engine, config, pool)
     }
 
-    fn launch(engine: ServingEngine, config: ServiceConfig, pool: Arc<ExecPool>) -> Self {
+    fn launch(engine: Arc<ShardedEngine>, config: ServiceConfig, pool: Arc<ExecPool>) -> Self {
         let shared = Arc::new(ServiceShared {
             state: Mutex::new(ServiceState {
                 open: true,
@@ -673,7 +612,7 @@ impl CoreService {
             drained: Condvar::new(),
         });
         Self {
-            engine: Arc::new(engine),
+            engine,
             shared,
             pool: Some(pool),
             config,
@@ -681,25 +620,15 @@ impl CoreService {
         }
     }
 
-    /// The span-wide engine this service executes on, when it is not
-    /// sharded (for cache statistics, warming…).
-    pub fn engine(&self) -> Option<&QueryEngine> {
-        match &*self.engine {
-            ServingEngine::Span(engine) => Some(engine),
-            ServingEngine::Sharded(_) => None,
-        }
-    }
-
-    /// The sharded engine this service executes on, when it is sharded.
+    /// The engine this service executes on (for cache statistics,
+    /// warming, ingest state…).  Always `Some`: every service runs a
+    /// [`ShardedEngine`], a [`ShardPlan::Span`] one when unsharded.
     pub fn sharded_engine(&self) -> Option<&ShardedEngine> {
-        match &*self.engine {
-            ServingEngine::Span(_) => None,
-            ServingEngine::Sharded(engine) => Some(engine),
-        }
+        Some(&self.engine)
     }
 
-    /// Skyline-cache counters of whichever engine backs this service; a
-    /// sharded service reports the per-shard and boundary-stitch dimensions.
+    /// Skyline-cache counters of the engine backing this service, with the
+    /// per-shard and boundary-stitch dimensions.
     pub fn cache_stats(&self) -> CacheStats {
         self.engine.cache_stats()
     }
@@ -853,20 +782,11 @@ impl CoreService {
     /// refuses out-of-order timestamps with a typed error either way).
     ///
     /// # Errors
-    /// * [`TkError::AppendRejected`] when the service runs a span-wide
-    ///   engine (only sharded engines have a live tail);
     /// * [`TkError::BudgetExceeded`] when [`ServiceConfig::queue_depth`]
     ///   requests are already waiting;
     /// * [`TkError::ServiceStopped`] after [`CoreService::shutdown`].
     pub fn submit_append(&self, events: Vec<IngestEvent>) -> Result<IngestTicket, TkError> {
-        let ServingEngine::Sharded(sharded) = &*self.engine else {
-            return Err(TkError::AppendRejected {
-                detail: "this service runs a span-wide engine; live ingestion needs a sharded \
-                         service (CoreService::start_sharded)"
-                    .into(),
-            });
-        };
-        let sharded = Arc::clone(sharded);
+        let engine = Arc::clone(&self.engine);
         let mut state = self.shared.lock();
         if !state.open {
             return Err(TkError::ServiceStopped);
@@ -897,7 +817,7 @@ impl CoreService {
         // Route appends to the lane owning the tail shard's cache partition:
         // that is the only partition an absorb invalidates.
         let lane = {
-            let num_shards = sharded.num_shards();
+            let num_shards = engine.num_shards();
             lane_of_shard(
                 num_shards.saturating_sub(1),
                 num_shards,
@@ -905,7 +825,7 @@ impl CoreService {
             )
         };
         pool.spawn_on(lane, move |worker| {
-            execute_ingest_job(&sharded, &shared, id, &events, enqueued_at, &tx, worker);
+            execute_ingest_job(&engine, &shared, id, &events, enqueued_at, &tx, worker);
         });
         Ok(IngestTicket { id, rx })
     }
@@ -919,15 +839,17 @@ impl CoreService {
             // tkc-lint: allow(no-panic-api) — `pool` is Some from construction until close_and_join tears the service down
             .expect("pool alive while the service is open");
         let lens = pool.lane_lens();
-        match (self.config.affinity, &*self.engine) {
-            (Affinity::Shard, ServingEngine::Sharded(engine)) => engine
+        let num_shards = self.engine.num_shards();
+        if self.config.affinity == Affinity::Shard && num_shards > 1 {
+            self.engine
                 .overlapping_shards(window)
-                .map(|shard| lane_of_shard(shard, engine.num_shards(), lens.len()))
+                .map(|shard| lane_of_shard(shard, num_shards, lens.len()))
                 .min_by_key(|&lane| (lens[lane], lane))
-                .unwrap_or(0),
-            _ => (0..lens.len())
+                .unwrap_or(0)
+        } else {
+            (0..lens.len())
                 .min_by_key(|&lane| (lens[lane], lane))
-                .unwrap_or(0),
+                .unwrap_or(0)
         }
     }
 
@@ -954,7 +876,7 @@ impl CoreService {
         }
         drop(state);
         // Dropping the last pool reference joins the worker threads.  An
-        // engine created by `start`/`start_sharded` holds a reference for
+        // engine created by `start_sharded` holds a reference for
         // its own batches; its threads idle until the engine is dropped.
         self.pool = None;
     }
@@ -987,7 +909,7 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
 /// interactive request that arrived later, which is exactly how the
 /// priority inversion between the classes is implemented.
 fn drain_service_job(
-    engine: &ServingEngine,
+    engine: &Arc<ShardedEngine>,
     shared: &ServiceShared,
     pool_lane: usize,
     worker: usize,
@@ -1065,7 +987,7 @@ fn drain_service_job(
 /// Runs one admitted append batch on pool worker `worker`: accounting,
 /// absorb with panic isolation, ingest-lane accounting, reply.
 fn execute_ingest_job(
-    sharded: &ShardedEngine,
+    engine: &ShardedEngine,
     shared: &ServiceShared,
     id: RequestId,
     events: &[IngestEvent],
@@ -1080,7 +1002,7 @@ fn execute_ingest_job(
     }
     let queue_wait = enqueued_at.elapsed();
     let t0 = Instant::now();
-    let outcome = catch_unwind(AssertUnwindSafe(|| sharded.absorb(events)));
+    let outcome = catch_unwind(AssertUnwindSafe(|| engine.absorb(events)));
     let absorb_time = t0.elapsed();
     let (result, panicked) = match outcome {
         Ok(result) => (result, false),
@@ -1139,7 +1061,7 @@ fn execute_ingest_job(
 /// on the same pool, with this worker participating); stream mode runs
 /// sequentially because all `k` values share one sink.
 fn execute_job(
-    engine: &ServingEngine,
+    engine: &Arc<ShardedEngine>,
     request: crate::request::ValidatedRequest,
     algorithm: Algorithm,
 ) -> Result<QueryResponse, TkError> {
@@ -1153,23 +1075,14 @@ fn execute_job(
         OutputMode::Stream(_) => {
             // Sequential: the one caller sink sees every k in order, still
             // answered from the engine's skyline cache.
-            match engine {
-                ServingEngine::Span(span) => {
-                    let backend =
-                        crate::backend::CachedBackend::with_algorithm(Arc::clone(span), algorithm);
-                    request.execute(span.graph(), &backend)
-                }
-                ServingEngine::Sharded(sharded) => {
-                    let backend = ShardedBackend::with_algorithm(Arc::clone(sharded), algorithm);
-                    // Capture one snapshot; a racing absorb publishes a new
-                    // one without invalidating this capture (the backend
-                    // serves any snapshot of its engine's lineage).
-                    request.execute(&sharded.graph(), &backend)
-                }
-            }
+            let backend = ShardedBackend::with_algorithm(Arc::clone(engine), algorithm);
+            // Capture one snapshot; a racing absorb publishes a new one
+            // without invalidating this capture (the backend serves any
+            // snapshot of its engine's lineage).
+            request.execute(&engine.graph(), &backend)
         }
         OutputMode::Materialize => {
-            let results =
+            let (results, _) =
                 engine.run_batch_with(&queries, algorithm, |_| CollectingSink::default())?;
             let outcomes = queries
                 .iter()
@@ -1187,7 +1100,7 @@ fn execute_job(
             })
         }
         OutputMode::Count => {
-            let results =
+            let (results, _) =
                 engine.run_batch_with(&queries, algorithm, |_| CountingSink::default())?;
             let outcomes = queries
                 .iter()
@@ -1212,10 +1125,16 @@ mod tests {
     use super::*;
     use crate::paper_example;
     use crate::request::KOutput;
+    use crate::sink::ResultSink;
+
+    /// A service over the unsharded (one-shard) layout.
+    fn span_service(config: ServiceConfig) -> CoreService {
+        CoreService::start_sharded(paper_example::graph(), ShardPlan::Span, config).unwrap()
+    }
 
     #[test]
     fn submitted_requests_complete_with_latency_accounting() {
-        let service = CoreService::start(paper_example::graph(), ServiceConfig::default());
+        let service = span_service(ServiceConfig::default());
         let ticket = service.submit(QueryRequest::single(2, 1, 4)).unwrap();
         let id = ticket.id;
         let reply = ticket.wait().unwrap();
@@ -1237,7 +1156,7 @@ mod tests {
 
     #[test]
     fn invalid_requests_are_rejected_synchronously() {
-        let service = CoreService::start(paper_example::graph(), ServiceConfig::default());
+        let service = span_service(ServiceConfig::default());
         assert!(matches!(
             service.submit(QueryRequest::single(0, 1, 4)),
             Err(TkError::KOutOfRange { k: 0 })
@@ -1252,7 +1171,7 @@ mod tests {
 
     #[test]
     fn sweep_requests_report_per_k_outcomes() {
-        let service = CoreService::start(paper_example::graph(), ServiceConfig::default());
+        let service = span_service(ServiceConfig::default());
         let reply = service
             .submit(QueryRequest::sweep(1..=3, 1, 7))
             .unwrap()
@@ -1270,11 +1189,11 @@ mod tests {
     #[test]
     fn sharded_service_answers_like_span_and_reports_shard_cache() {
         let graph = paper_example::graph();
-        let span = CoreService::start(graph.clone(), ServiceConfig::default());
+        let span = span_service(ServiceConfig::default());
         let sharded =
             CoreService::start_sharded(graph, ShardPlan::FixedCount(4), ServiceConfig::default())
                 .unwrap();
-        assert!(sharded.engine().is_none());
+        assert_eq!(span.sharded_engine().unwrap().num_shards(), 1);
         assert_eq!(sharded.sharded_engine().unwrap().num_shards(), 4);
         for request in [
             || QueryRequest::single(2, 1, 4).materialize(),
@@ -1369,7 +1288,7 @@ mod tests {
 
     #[test]
     fn a_zero_deadline_is_shed_at_admission() {
-        let service = CoreService::start(paper_example::graph(), ServiceConfig::default());
+        let service = span_service(ServiceConfig::default());
         let err = service
             .submit_opts(
                 QueryRequest::single(2, 1, 4),
@@ -1386,13 +1305,10 @@ mod tests {
 
     #[test]
     fn per_lane_counters_sum_to_totals_across_both_classes() {
-        let service = CoreService::start(
-            paper_example::graph(),
-            ServiceConfig {
-                workers: 2,
-                ..ServiceConfig::default()
-            },
-        );
+        let service = span_service(ServiceConfig {
+            workers: 2,
+            ..ServiceConfig::default()
+        });
         let mut tickets = Vec::new();
         for _ in 0..3 {
             tickets.push(
@@ -1445,9 +1361,9 @@ mod tests {
     #[test]
     fn submissions_after_shutdown_are_refused() {
         let graph = paper_example::graph();
-        let engine = Arc::new(QueryEngine::new(graph));
+        let engine = Arc::new(ShardedEngine::new(graph, ShardPlan::Span).unwrap());
         engine.warm(2); // make the memory gate eligible to fire
-        let mut service = CoreService::over(
+        let mut service = CoreService::over_sharded(
             Arc::clone(&engine),
             ServiceConfig {
                 admission_memory_bytes: Some(0),
@@ -1467,10 +1383,10 @@ mod tests {
     #[test]
     fn memory_admission_gate_rejects_when_cache_is_over_budget() {
         let graph = paper_example::graph();
-        let engine = Arc::new(QueryEngine::new(graph));
+        let engine = Arc::new(ShardedEngine::new(graph, ShardPlan::Span).unwrap());
         engine.warm(2); // make the cache non-empty
         assert!(engine.cache_stats().resident_bytes > 0);
-        let service = CoreService::over(
+        let service = CoreService::over_sharded(
             Arc::clone(&engine),
             ServiceConfig {
                 admission_memory_bytes: Some(0),
@@ -1488,6 +1404,27 @@ mod tests {
         assert_eq!(service.stats().rejected, 1);
     }
 
+    #[test]
+    fn a_span_service_accepts_appends_into_its_live_tail() {
+        let service = span_service(ServiceConfig::default());
+        let reply = service
+            .submit_append(vec![(1, 5, 8), (2, 5, 8)])
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(reply.stats.appended, 2);
+        assert_eq!(reply.stats.tmax, 8);
+        assert_eq!(reply.stats.num_shards, 1, "the span shard is the live tail");
+        let reply = service
+            .submit(QueryRequest::single(2, 1, 8))
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(reply.response.window, TimeWindow::new(1, 8));
+        assert_eq!(service.stats().ingest.completed, 1);
+        service.shutdown();
+    }
+
     /// A sink that panics on the first emitted core.
     struct PanickingSink;
 
@@ -1499,13 +1436,10 @@ mod tests {
 
     #[test]
     fn a_panicking_sink_fails_only_its_request_and_stats_survive() {
-        let service = CoreService::start(
-            paper_example::graph(),
-            ServiceConfig {
-                workers: 2,
-                ..ServiceConfig::default()
-            },
-        );
+        let service = span_service(ServiceConfig {
+            workers: 2,
+            ..ServiceConfig::default()
+        });
         let err = service
             .submit(QueryRequest::single(2, 1, 4).stream(Box::new(PanickingSink)))
             .unwrap()

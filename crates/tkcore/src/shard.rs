@@ -1,11 +1,15 @@
 //! Time-interval sharding: [`ShardPlan`], [`ShardedEngine`] and
 //! [`ShardedBackend`].
 //!
-//! The span-wide [`QueryEngine`](crate::QueryEngine) keeps **one skyline per
-//! `k` covering the whole timeline** — the memory and cold-build bottleneck
-//! on big graphs.  This module partitions the timeline into contiguous
-//! time-interval shards and keeps **one skyline per `(shard, k)`** instead,
-//! each covering only its shard's interval:
+//! The paper's framework splits a time-range temporal k-core query into a
+//! CoreTime precomputation (the [`EdgeCoreSkyline`], Definitions 4–5) and a
+//! result-size-bounded enumeration.  An index built for a range `R` answers
+//! *every* query over a sub-range `r ⊆ R`, and [`ShardedEngine`] turns that
+//! into a serving engine: it partitions the timeline into contiguous
+//! time-interval shards and keeps an LRU cache of **one skyline per
+//! `(shard, k)`**, each covering only its shard's interval, restricted per
+//! query.  [`ShardPlan::Span`] is the unsharded layout — one span-wide
+//! shard — and more shards trade boundary stitching for smaller indexes:
 //!
 //! * per-shard skylines are strictly smaller than the span-wide one (they
 //!   drop every minimal core window crossing a shard cut), so the resident
@@ -16,6 +20,27 @@
 //! * shard skylines build independently, so batch workers warm different
 //!   shards in parallel.
 //!
+//! # Why restriction is exact
+//!
+//! Whether a window `w` is a *minimal core window* of an edge is a property
+//! of the graph alone: `e` is in the temporal k-core of `w` but of neither
+//! window obtained by shrinking `w` on one side (Definition 5).  Building
+//! the skyline for a range `R` merely restricts attention to the minimal
+//! windows contained in `R`; containment in a sub-range `r ⊆ R` is a further
+//! filter.  Hence
+//!
+//! ```text
+//! skyline_r(e) = { w ∈ skyline_R(e) : w ⊆ r }        for every r ⊆ R,
+//! ```
+//!
+//! and since both endpoints strictly increase along an edge's skyline
+//! (Lemma 2), the windows contained in `r` form a *contiguous* subsequence
+//! found by two binary searches.  Restriction therefore costs
+//! `O(|E_r| + |ECS_r|)` with no worklist iteration, and by Lemma 3 the
+//! restricted skyline drives the enumerators to exactly the same results as
+//! an index freshly built for `r` (asserted exhaustively by the
+//! `engine_restriction_matches_fresh_build` property test).
+//!
 //! # Exactness at shard boundaries
 //!
 //! Every distinct temporal k-core `C` of a query window `W` equals the
@@ -24,9 +49,8 @@
 //!
 //! 1. **Intra-shard cores** (`TTI ⊆ I_s ∩ W` for some shard interval
 //!    `I_s`): these are exactly the cores of the range `I_s ∩ W`, answered
-//!    by restricting shard `s`'s cached skyline — the same
-//!    restriction-is-exact argument as the span-wide engine
-//!    ([`EdgeCoreSkyline::restrict`]).
+//!    by restricting shard `s`'s cached skyline
+//!    ([`EdgeCoreSkyline::restrict`], exact as argued above).
 //! 2. **Boundary-spanning cores** (TTI contains a cut, i.e. both `c` and
 //!    `c + 1` for some shard boundary after timestamp `c`): these cannot be
 //!    derived from per-shard skylines (their minimal windows were dropped at
@@ -37,7 +61,8 @@
 //! a cut) and jointly exhaustive, and within one graph a TTI identifies its
 //! core uniquely — so the stitched answer equals the span-wide answer
 //! exactly.  The `shard_equivalence` and `boundary_index` test harnesses
-//! assert this for random graphs, random plans and all four algorithms.
+//! assert this against fresh per-query execution for random graphs, random
+//! plans and all four algorithms.
 //!
 //! # The boundary-stitch index
 //!
@@ -88,8 +113,7 @@ use std::time::{Duration, Instant};
 use crate::backend::{validate_query, CoreBackend};
 use crate::ecs::{EdgeCoreSkyline, SkylineScratch};
 use crate::engine::{
-    aggregate_batch, batch_executor, fan_out_batch, validate_batch, BatchStats, BoundaryCacheStats,
-    CacheStats, EngineConfig, ShardCacheStats, WarmStats,
+    BatchStats, BoundaryCacheStats, CacheStats, EngineConfig, ShardCacheStats, WarmStats,
 };
 use crate::error::TkError;
 use crate::exec::{run_batch_inner, ExecPool};
@@ -103,8 +127,9 @@ use temporal_graph::{AppendableGraph, EdgeId, TemporalGraph, TimeWindow, Timesta
 /// How to cut the graph's timeline `[1, tmax]` into contiguous shards.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardPlan {
-    /// One shard covering the whole span (the unsharded layout; useful as a
-    /// degenerate baseline in equivalence tests).
+    /// One shard covering the whole span: the unsharded layout, one
+    /// span-wide skyline per `k` restricted per query.  The shard is also
+    /// the live tail, so the engine ingests like any other plan.
     Span,
     /// A fixed number of shards of near-equal timeline length.  Counts
     /// exceeding `tmax` are clamped to one shard per timestamp.
@@ -667,9 +692,10 @@ fn compose_boundary_skyline(
     EdgeCoreSkyline::from_parts(k, window, first_edge, offsets, flat)
 }
 
-/// A query engine over time-interval shards: per-`(shard, k)` skyline cache,
-/// exact boundary stitching through a cached [`CacheStats::boundary`] index,
-/// and the same batch surface as [`QueryEngine`](crate::QueryEngine).
+/// The query engine: a per-`(shard, k)` skyline cache restricted per query,
+/// exact boundary stitching through a cached [`CacheStats::boundary`]
+/// index, batches fanned across a persistent [`ExecPool`], and a live tail
+/// shard for ingestion.
 ///
 /// See the [module documentation](self) for the sharding layout and the
 /// exactness argument.
@@ -680,12 +706,23 @@ fn compose_boundary_skyline(
 /// use tkcore::{paper_example, ShardPlan, ShardedEngine, TimeRangeKCoreQuery, CountingSink};
 /// use temporal_graph::TimeWindow;
 ///
+/// // Unsharded: both queries share one span-wide skyline for k = 2.
+/// let engine = ShardedEngine::new(paper_example::graph(), ShardPlan::Span).unwrap();
+/// let queries = [
+///     TimeRangeKCoreQuery::new(2, TimeWindow::new(1, 4)).unwrap(),
+///     TimeRangeKCoreQuery::new(2, TimeWindow::new(2, 7)).unwrap(),
+/// ];
+/// let (results, stats) = engine.run_batch(&queries).unwrap();
+/// assert_eq!(results[0].0.num_cores, 2); // Figure 2 of the paper
+/// assert_eq!(stats.num_queries, 2);
+/// assert_eq!(engine.cache_stats().misses, 1);
+///
+/// // Four shards: the same answer, stitched across the shard cuts.
 /// let engine = ShardedEngine::new(paper_example::graph(), ShardPlan::FixedCount(4)).unwrap();
 /// assert_eq!(engine.num_shards(), 4);
 /// let mut sink = CountingSink::default();
-/// let query = TimeRangeKCoreQuery::new(2, TimeWindow::new(1, 4)).unwrap();
-/// let stats = engine.run(&query, &mut sink).unwrap();
-/// assert_eq!(stats.num_cores, 2); // Figure 2 of the paper, stitched across shards
+/// let stats = engine.run(&queries[0], &mut sink).unwrap();
+/// assert_eq!(stats.num_cores, 2);
 /// ```
 pub struct ShardedEngine {
     inner: Arc<ShardInner>,
@@ -855,8 +892,10 @@ impl ShardedEngine {
     }
 
     /// Adopts `pool` for this engine's batches if it has not already
-    /// created or been given one; returns whether the pool was installed
-    /// (see [`QueryEngine::adopt_pool`](crate::QueryEngine::adopt_pool)).
+    /// created or been given one; returns whether the pool was installed.
+    /// Lets [`crate::CoreService::over_sharded`] share its worker pool with
+    /// a caller-constructed engine instead of the engine lazily spawning a
+    /// second private pool.
     pub fn adopt_pool(&self, pool: Arc<ExecPool>) -> bool {
         self.inner.pool.set(pool).is_ok()
     }
@@ -1047,9 +1086,7 @@ impl ShardedEngine {
             .run_validated(&live, query.k(), validated.window(), algorithm, sink))
     }
 
-    /// Runs a batch of queries with `Enum`, counting results per query
-    /// (the sharded counterpart of
-    /// [`QueryEngine::run_batch`](crate::QueryEngine::run_batch)).
+    /// Runs a batch of queries with `Enum`, counting results per query.
     ///
     /// # Errors
     /// See [`ShardedEngine::run_batch_with`].
@@ -1060,14 +1097,18 @@ impl ShardedEngine {
         self.run_batch_with(queries, Algorithm::Enum, |_| CountingSink::default())
     }
 
-    /// Fans `queries` across the persistent pool, one fresh sink per query —
-    /// same contract as
-    /// [`QueryEngine::run_batch_with`](crate::QueryEngine::run_batch_with),
-    /// with workers warming different shards in parallel.
+    /// Fans `queries` across the persistent pool (plus the calling thread),
+    /// one fresh sink per query; `make_sink(i)` builds the sink for
+    /// `queries[i]`.  Results come back in query order with per-query
+    /// [`QueryStats`] and aggregated [`BatchStats`].  Workers claim the next
+    /// query index from a shared counter, so long and short queries balance
+    /// automatically, and warm different shards in parallel.
     ///
     /// # Errors
-    /// Every query is validated up front; the first invalid query fails the
-    /// whole batch before any work starts.
+    /// Every query is validated up front (same rules as
+    /// [`ShardedEngine::run_with`]); the first invalid query fails the whole
+    /// batch before any work starts, so a partially-executed batch is never
+    /// observable.
     pub fn run_batch_with<S, F>(
         &self,
         queries: &[TimeRangeKCoreQuery],
@@ -1082,17 +1123,40 @@ impl ShardedEngine {
         // The whole batch runs against one live view, so its queries are
         // mutually consistent even while absorbs land concurrently.
         let live = self.inner.live_now();
-        let validated = Arc::new(validate_batch(&live.graph, queries)?);
-        let (threads, pool) = batch_executor(
-            &self.inner.pool,
-            self.inner.config.num_threads,
-            validated.len(),
-        );
+        let validated: Vec<(usize, TimeWindow)> = queries
+            .iter()
+            .map(|query| {
+                let range = query.range();
+                QueryRequest::single(query.k(), range.start(), range.end())
+                    .validate(&live.graph)
+                    .map(|v| (query.k(), v.window()))
+            })
+            .collect::<Result<_, _>>()?;
+        let num_queries = validated.len();
+        let (threads, pool) = self.inner.executor(num_queries);
         let inner = Arc::clone(&self.inner);
-        let per_query = fan_out_batch(pool, validated, make_sink, move |k, window, sink| {
-            inner.run_validated(&live, k, window, algorithm, sink)
+        let per_query = run_batch_inner(pool.as_deref(), num_queries, move |i| {
+            let (k, window) = validated[i];
+            let mut sink = make_sink(i);
+            let stats = inner.run_validated(&live, k, window, algorithm, &mut sink);
+            (sink, stats)
         });
-        let batch = aggregate_batch(&per_query, t0.elapsed(), threads, self.cache_stats());
+        let mut batch = BatchStats {
+            num_queries,
+            total_cores: 0,
+            total_result_edges: 0,
+            precompute_time: Duration::ZERO,
+            enumerate_time: Duration::ZERO,
+            wall_time: t0.elapsed(),
+            threads,
+            cache: self.cache_stats(),
+        };
+        for (_, stats) in &per_query {
+            batch.total_cores += stats.num_cores;
+            batch.total_result_edges += stats.total_result_edges;
+            batch.precompute_time += stats.precompute_time;
+            batch.enumerate_time += stats.enumerate_time;
+        }
         Ok((per_query, batch))
     }
 }
@@ -1102,6 +1166,31 @@ impl ShardInner {
     /// hold the returned `Arc` for the whole query, never the lock.
     fn live_now(&self) -> Arc<LiveState> {
         Arc::clone(&sync::lock(&self.live))
+    }
+
+    /// Picks the executor for `num_tasks` tasks: the engine's persistent
+    /// pool (created lazily on the first multi-threaded batch, or injected
+    /// by a service at construction) plus the calling thread, or the inline
+    /// single-threaded path.  Returns the thread count to report in
+    /// [`BatchStats::threads`].
+    fn executor(&self, num_tasks: usize) -> (usize, Option<Arc<ExecPool>>) {
+        if let Some(pool) = self.pool.get() {
+            let threads = (pool.num_workers() + 1).min(num_tasks.max(1));
+            return (threads, Some(Arc::clone(pool)));
+        }
+        // `0` configured threads means one per available CPU.
+        let resolved = match self.config.num_threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        };
+        let threads = resolved.min(num_tasks.max(1));
+        if threads <= 1 {
+            return (threads, None);
+        }
+        // The calling thread participates in every batch, so the pool
+        // provides the remaining threads.
+        let pool = self.pool.get_or_init(|| ExecPool::new(resolved - 1));
+        (threads, Some(Arc::clone(pool)))
     }
 
     fn cache_stats(&self) -> CacheStats {
@@ -1267,7 +1356,7 @@ impl ShardInner {
         let mut entries_built = 0u64;
         let mut build_time = Duration::ZERO;
         if !missing.is_empty() {
-            let (_, pool) = batch_executor(&self.pool, self.config.num_threads, missing.len());
+            let (_, pool) = self.executor(missing.len());
             let task_live = Arc::clone(live);
             let task_shards: Arc<[usize]> = missing.as_slice().into();
             let built = run_batch_inner(pool.as_deref(), missing.len(), move |i| {
@@ -1454,7 +1543,7 @@ impl ShardInner {
 
 /// A [`CoreBackend`] answering from a shared [`ShardedEngine`], so sharded
 /// execution composes with [`QueryRequest`] multi-`k` sets and sweeps and
-/// with [`crate::CoreService`] exactly like [`crate::CachedBackend`] does.
+/// with [`crate::CoreService`].
 ///
 /// Because shard skylines are graph-specific, `execute` refuses a graph
 /// other than [`ShardedEngine::graph`] with [`TkError::GraphMismatch`].
@@ -1501,14 +1590,21 @@ impl ShardedBackend {
         self.algorithm
     }
 
-    /// Same identity rule as [`crate::CachedBackend`] — pointer equality is
-    /// the O(1) fast path, an equal clone is accepted at O(|E|) cost —
-    /// extended for live ingestion: any snapshot this engine published is
-    /// served, so a query that captured [`ShardedEngine::graph`] just
-    /// before a racing [`ShardedEngine::absorb`] still executes (against
-    /// the current state) instead of failing with a spurious mismatch.
+    /// Is `graph` the graph this backend's engine serves?  Any snapshot
+    /// this engine published is served by pointer identity, so a query that
+    /// captured [`ShardedEngine::graph`] just before a racing
+    /// [`ShardedEngine::absorb`] still executes (against the current state)
+    /// instead of failing with a spurious mismatch; an equal clone is also
+    /// accepted, at O(|E|) comparison cost.
     fn serves(&self, graph: &TemporalGraph) -> bool {
-        self.engine.is_snapshot(graph) || crate::backend::graph_matches(&self.engine.graph(), graph)
+        if self.engine.is_snapshot(graph) {
+            return true;
+        }
+        let own = self.engine.graph();
+        own.num_vertices() == graph.num_vertices()
+            && own.num_edges() == graph.num_edges()
+            && own.tmax() == graph.tmax()
+            && own.edges() == graph.edges()
     }
 }
 
@@ -1607,7 +1703,6 @@ mod tests {
     #[test]
     fn sharded_answers_match_span_wide_on_the_paper_example() {
         let g = paper_example::graph();
-        let span_engine = crate::QueryEngine::new(g.clone());
         for plan in [
             ShardPlan::FixedCount(1),
             ShardPlan::FixedCount(2),
@@ -1626,7 +1721,7 @@ mod tests {
                     let query = TimeRangeKCoreQuery::new(k, window).unwrap();
                     for algo in Algorithm::ALL {
                         let mut expected = CollectingSink::default();
-                        span_engine.run_with(&query, algo, &mut expected).unwrap();
+                        query.run_with(&g, algo, &mut expected);
                         let mut got = CollectingSink::default();
                         sharded.run_with(&query, algo, &mut got).unwrap();
                         assert_eq!(

@@ -1,8 +1,9 @@
 //! The line-delimited JSON wire protocol of `tkc serve`.
 //!
 //! The offline build environment has no serde, so this module hand-rolls
-//! the small JSON subset the protocol needs: a recursive-descent parser
-//! into [`JsonValue`] for inbound request lines, and direct string
+//! the small JSON subset the protocol needs: a depth-bounded
+//! recursive-descent parser into [`JsonValue`] for inbound request lines,
+//! and direct string
 //! rendering for outbound reply lines (replies are built with integer
 //! formatting, never through `f64`, so counters round-trip exactly).
 //!
@@ -104,7 +105,7 @@ impl JsonValue {
 pub fn parse_json(input: &str) -> Result<JsonValue, String> {
     let bytes = input.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing input at byte {pos}"));
@@ -118,12 +119,23 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Deepest array/object nesting [`parse_json`] accepts.  The deepest
+/// document this module renders, a materialized query reply (reply →
+/// outcomes → outcome → sample → core → tti), nests 6 deep.  Deeper input
+/// is a syntax error, refused before the recursion can exhaust the stack.
+const MAX_DEPTH: usize = 32;
+
+/// Parses one value nested inside `depth` enclosing arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth >= MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {pos}",
+            pos = *pos
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => parse_string(bytes, pos).map(JsonValue::String),
         Some(b't') => parse_literal(bytes, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", JsonValue::Bool(false)),
@@ -208,7 +220,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -217,7 +229,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         return Ok(JsonValue::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -230,7 +242,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     *pos += 1; // '{'
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -249,7 +261,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
             return Err(format!("expected `:` at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        members.push((key, parse_value(bytes, pos)?));
+        members.push((key, parse_value(bytes, pos, depth)?));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -527,6 +539,21 @@ mod tests {
         ] {
             assert!(parse_json(line).is_err(), "{line:?} should not parse");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_a_syntax_error_not_a_stack_overflow() {
+        let n = 100_000;
+        let arrays = format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let objects = format!("{}1{}", "{\"a\":".repeat(n), "}".repeat(n));
+        for line in [&arrays, &objects] {
+            let err = parse_json(line).unwrap_err();
+            assert!(err.contains("nesting deeper than"), "{err}");
+            assert!(parse_request(line).is_err());
+        }
+        let at_bound = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_json(&at_bound).is_ok());
+        assert!(parse_json(&format!("[{at_bound}]")).is_err());
     }
 
     #[test]

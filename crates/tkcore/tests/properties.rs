@@ -7,8 +7,8 @@ use std::sync::Arc;
 use temporal_graph::{EdgeId, TemporalGraph, TemporalGraphBuilder, TimeWindow};
 use tkcore::{
     enumerate_base_from_graph, enumerate_from_graph, naive_results, run_otcd, Algorithm,
-    CachedBackend, CollectingSink, CoreBackend, EdgeCoreSkyline, QueryEngine, TemporalKCore,
-    TimeRangeKCoreQuery, VertexCoreTimeIndex,
+    CollectingSink, CoreBackend, EdgeCoreSkyline, ShardPlan, ShardedBackend, ShardedEngine,
+    TemporalKCore, TimeRangeKCoreQuery, VertexCoreTimeIndex,
 };
 
 /// Strategy: a random temporal graph with up to `max_v` vertices, up to
@@ -86,13 +86,13 @@ proptest! {
         let lo = raw_lo.min(g.tmax());
         let range = TimeWindow::new(lo, (lo + raw_len).min(g.tmax()).max(lo));
         let expected = naive_results(&g, k, range);
-        let engine = Arc::new(QueryEngine::new(g.clone()));
+        let engine = Arc::new(ShardedEngine::new(g.clone(), ShardPlan::Span).expect("span plan"));
         let backends: Vec<Box<dyn CoreBackend>> = vec![
             Box::new(Algorithm::Enum),
             Box::new(Algorithm::EnumBase),
             Box::new(Algorithm::Otcd),
             Box::new(Algorithm::Naive),
-            Box::new(CachedBackend::new(Arc::clone(&engine))),
+            Box::new(ShardedBackend::new(Arc::clone(&engine))),
         ];
         for backend in &backends {
             let mut sink = CollectingSink::default();
@@ -203,7 +203,7 @@ proptest! {
     ) {
         let lo = raw_lo.min(g.tmax());
         let range = TimeWindow::new(lo, (lo + raw_len).min(g.tmax()).max(lo));
-        let engine = QueryEngine::new(g.clone());
+        let engine = ShardedEngine::new(g.clone(), ShardPlan::Span).expect("span plan");
         let query = TimeRangeKCoreQuery::new(k, range).expect("k >= 2");
         for algorithm in Algorithm::ALL {
             let mut fresh = CollectingSink::default();

@@ -5,8 +5,9 @@
 //! enumeration phase whose cost is bounded by the result size.  A skyline
 //! built for the whole time span answers *every* sub-range query for the
 //! same `k` by restriction, so a serving workload should build it once and
-//! amortise it across the query stream.  That is exactly what
-//! [`QueryEngine`] automates: this example fires a batch of sub-range
+//! amortise it across the query stream.  That is exactly what a
+//! [`ShardedEngine`] on the unsharded [`ShardPlan::Span`] layout automates:
+//! this example fires a batch of sub-range
 //! queries cold (one fresh skyline per query, as the one-shot API does) and
 //! then through the engine, and prints the amortisation.
 //!
@@ -56,7 +57,9 @@ fn main() {
 
     // Engine, first batch: pays the one-time span-wide build for this k,
     // which every later query for the same k reuses.
-    let engine = Arc::new(QueryEngine::new(graph.clone()));
+    let engine = Arc::new(
+        ShardedEngine::new(graph.clone(), ShardPlan::Span).expect("the span plan resolves"),
+    );
     let t1 = Instant::now();
     let (_, first_batch) = engine.run_batch(&queries).expect("valid workload queries");
     let first_time = t1.elapsed();
@@ -113,12 +116,12 @@ fn main() {
 
     // The same cache also serves k-range sweeps through the unified request
     // API: each k of the sweep builds its span-wide index at most once.
-    let backend = CachedBackend::new(Arc::clone(&engine));
+    let backend = ShardedBackend::new(Arc::clone(&engine));
     let misses_before = engine.cache_stats().misses;
     // Run against the engine's own graph: the backend's identity check is
     // O(1) for it, while an equal clone would cost an O(|E|) comparison.
     let sweep = QueryRequest::sweep(k.saturating_sub(1).max(1)..=k + 1, 1, graph.tmax())
-        .run(engine.graph(), &backend)
+        .run(&engine.graph(), &backend)
         .expect("valid sweep");
     println!("\nk-range sweep around k = {k} (one skyline build per new k):");
     for outcome in &sweep.outcomes {

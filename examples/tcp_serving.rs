@@ -22,13 +22,17 @@ use temporal_kcore::tkcore::paper_example;
 
 fn main() {
     // The service: one worker so the priority inversion below is visible.
-    let service = Arc::new(CoreService::start(
-        paper_example::graph(),
-        ServiceConfig {
-            workers: 1,
-            ..ServiceConfig::default()
-        },
-    ));
+    let service = Arc::new(
+        CoreService::start_sharded(
+            paper_example::graph(),
+            ShardPlan::Span,
+            ServiceConfig {
+                workers: 1,
+                ..ServiceConfig::default()
+            },
+        )
+        .expect("the span plan resolves"),
+    );
     let server = Arc::new(
         TkServer::bind(Arc::clone(&service), "127.0.0.1:0", ServerConfig::default())
             .expect("bind a loopback listener"),

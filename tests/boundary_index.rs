@@ -2,8 +2,8 @@
 //! boundary-spanning queries answered by composing cached cut-crossing
 //! windows with the restricted per-shard skylines must equal both the PR 3
 //! transient-merge path (`boundary_cache_entries = 0`, which rebuilds a
-//! merged sub-window skyline per spanning query) and the unsharded
-//! span-wide engine — over random graphs, random shard plans, random
+//! merged sub-window skyline per spanning query) and fresh, uncached
+//! per-query execution — over random graphs, random shard plans, random
 //! windows and all four algorithms.
 
 use proptest::prelude::*;
@@ -66,8 +66,8 @@ proptest! {
 
     /// For random graphs, plans and windows, the stitched boundary path
     /// (cached cut-crossing windows composed with restricted shard
-    /// skylines) equals the transient-merge path and the unsharded engine,
-    /// for every algorithm — and repeating each query answers from the
+    /// skylines) equals the transient-merge path and fresh per-query
+    /// execution, for every algorithm — and repeating each query answers from the
     /// cache without growing the build counters.
     #[test]
     fn stitched_equals_transient_equals_unsharded(
@@ -77,7 +77,6 @@ proptest! {
         (raw_start, raw_len) in (1u32..=8, 0u32..8),
     ) {
         let plan = plan_for(kind, param, g.tmax());
-        let span_engine = QueryEngine::new(g.clone());
         let stitched = stitch_engine(&g, &plan, 32);
         let transient = stitch_engine(&g, &plan, 0);
 
@@ -92,7 +91,7 @@ proptest! {
             let query = TimeRangeKCoreQuery::new(k, window).expect("k >= 1");
             for algo in Algorithm::ALL {
                 let mut expected = CollectingSink::default();
-                span_engine.run_with(&query, algo, &mut expected)
+                algo.execute(&g, k, window, &mut expected)
                     .expect("window is inside the span");
                 let mut via_stitch = CollectingSink::default();
                 stitched.run_with(&query, algo, &mut via_stitch)

@@ -5,7 +5,8 @@
 //! Three layers of evidence:
 //!
 //! * `interleaved_appends_match_rebuild_from_scratch` — the property test
-//!   of the ingestion PR: random base graphs, random shard plans, random
+//!   of the ingestion PR: random base graphs, random shard plans (the
+//!   one-shard `ShardPlan::Span` included), random
 //!   seal policies and a random time-ordered event stream; after every
 //!   absorbed batch, every `(k, window)` query through the live engine
 //!   returns the same cores (compared in label space, since the appendable
@@ -115,7 +116,7 @@ proptest! {
     fn interleaved_appends_match_rebuild_from_scratch(
         (base, stream) in arb_base_and_stream(),
         k in 1usize..4,
-        shards in 1usize..4,
+        shards in 0usize..4,
         seal_kind in 0u8..3,
         batch_len in 1usize..4,
     ) {
@@ -123,11 +124,12 @@ proptest! {
             seal_policy: seal_policy_for(seal_kind),
             ..EngineConfig::default()
         };
-        let live = ShardedEngine::with_config(
-            raw_graph(&base),
-            ShardPlan::FixedCount(shards),
-            config,
-        ).expect("fixed-count plans are valid");
+        let plan = match shards {
+            0 => ShardPlan::Span,
+            n => ShardPlan::FixedCount(n),
+        };
+        let live = ShardedEngine::with_config(raw_graph(&base), plan, config)
+            .expect("span and fixed-count plans are valid");
 
         let mut absorbed = base.clone();
         let mut taken: std::collections::HashSet<(u64, u64, Timestamp)> = absorbed

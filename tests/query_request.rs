@@ -1,5 +1,5 @@
 //! Acceptance tests for the unified request API through the public facade:
-//! every algorithm and the cached engine are reachable via
+//! every algorithm and the cached engine (unsharded and sharded) are reachable via
 //! `CoreBackend`/`QueryRequest` alone, a k-range sweep over the paper
 //! example builds at most one skyline per k (asserted via `CacheStats`),
 //! and malformed input yields typed errors, never panics.
@@ -8,11 +8,15 @@ use std::sync::Arc;
 use temporal_kcore::prelude::*;
 use temporal_kcore::tkcore::paper_example;
 
+fn span_engine(graph: &TemporalGraph) -> Arc<ShardedEngine> {
+    Arc::new(ShardedEngine::new(graph.clone(), ShardPlan::Span).unwrap())
+}
+
 #[test]
 fn k_range_sweep_reuses_one_skyline_build_per_k() {
     let graph = paper_example::graph();
-    let engine = Arc::new(QueryEngine::new(graph.clone()));
-    let backend = CachedBackend::new(Arc::clone(&engine));
+    let engine = span_engine(&graph);
+    let backend = ShardedBackend::new(Arc::clone(&engine));
 
     let response = QueryRequest::sweep(1..=3, 1, 7)
         .run(&graph, &backend)
@@ -96,14 +100,14 @@ fn sharded_sweep_builds_only_the_touched_shards_per_k() {
 #[test]
 fn all_backends_answer_the_paper_query_identically() {
     let graph = paper_example::graph();
-    let engine = Arc::new(QueryEngine::new(graph.clone()));
+    let engine = span_engine(&graph);
     let backends: Vec<Box<dyn CoreBackend>> = vec![
         Box::new(Algorithm::Enum),
         Box::new(Algorithm::EnumBase),
         Box::new(Algorithm::Otcd),
         Box::new(Algorithm::Naive),
-        Box::new(CachedBackend::new(Arc::clone(&engine))),
-        Box::new(CachedBackend::with_algorithm(
+        Box::new(ShardedBackend::new(Arc::clone(&engine))),
+        Box::new(ShardedBackend::with_algorithm(
             Arc::clone(&engine),
             Algorithm::EnumBase,
         )),
@@ -137,8 +141,7 @@ fn all_backends_answer_the_paper_query_identically() {
 #[test]
 fn malformed_requests_are_typed_errors_on_every_entry_point() {
     let graph = paper_example::graph();
-    let engine = Arc::new(QueryEngine::new(graph.clone()));
-    let cached = CachedBackend::new(Arc::clone(&engine));
+    let cached = ShardedBackend::new(span_engine(&graph));
     let backends: Vec<&dyn CoreBackend> = vec![&Algorithm::Enum, &Algorithm::Naive, &cached];
     for backend in backends {
         assert!(matches!(

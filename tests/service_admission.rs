@@ -34,13 +34,15 @@ impl ResultSink for GatedSink {
 
 #[test]
 fn one_deep_queue_rejects_overflow_with_budget_exceeded() {
-    let service = CoreService::start(
+    let service = CoreService::start_sharded(
         paper_example::graph(),
+        ShardPlan::Span,
         ServiceConfig {
             queue_depth: 1,
             ..ServiceConfig::default()
         },
-    );
+    )
+    .unwrap();
 
     let (started_tx, started_rx) = mpsc::channel();
     let (release_tx, release_rx) = mpsc::channel();
@@ -100,7 +102,12 @@ fn one_deep_queue_rejects_overflow_with_budget_exceeded() {
 
 #[test]
 fn service_replies_carry_request_ids_and_latencies() {
-    let service = CoreService::start(paper_example::graph(), ServiceConfig::default());
+    let service = CoreService::start_sharded(
+        paper_example::graph(),
+        ShardPlan::Span,
+        ServiceConfig::default(),
+    )
+    .unwrap();
     let t1 = service.submit(QueryRequest::sweep(1..=2, 1, 7)).unwrap();
     let t2 = service.submit(QueryRequest::single(2, 2, 5)).unwrap();
     assert_ne!(t1.id, t2.id, "ids are unique per request");

@@ -37,7 +37,12 @@ impl ResultSink for GatedSink {
 
 #[test]
 fn shutdown_then_drop_drains_exactly_once() {
-    let service = CoreService::start(paper_example::graph(), ServiceConfig::default());
+    let service = CoreService::start_sharded(
+        paper_example::graph(),
+        ShardPlan::Span,
+        ServiceConfig::default(),
+    )
+    .unwrap();
     let ticket = service.submit(QueryRequest::single(2, 1, 4)).unwrap();
     // `shutdown(self)` drains and then drops `self`, whose `Drop` calls the
     // drain again; the second pass must return immediately instead of

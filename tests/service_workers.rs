@@ -48,14 +48,16 @@ fn gated() -> (GatedSink, mpsc::Receiver<()>, mpsc::Sender<()>) {
 
 #[test]
 fn two_workers_run_concurrently_and_admission_still_bounds_the_queue() {
-    let service = CoreService::start(
+    let service = CoreService::start_sharded(
         paper_example::graph(),
+        ShardPlan::Span,
         ServiceConfig {
             queue_depth: 1,
             workers: 2,
             ..ServiceConfig::default()
         },
-    );
+    )
+    .unwrap();
 
     // Requests A and B: each is picked up by a worker and pinned inside its
     // gated sink.  B can only start while A is still blocked, so receiving
@@ -123,13 +125,15 @@ fn two_workers_run_concurrently_and_admission_still_bounds_the_queue() {
 #[test]
 fn sharded_multi_worker_service_matches_span_wide_answers() {
     let graph = paper_example::graph();
-    let span = CoreService::start(
+    let span = CoreService::start_sharded(
         graph.clone(),
+        ShardPlan::Span,
         ServiceConfig {
             workers: 2,
             ..ServiceConfig::default()
         },
-    );
+    )
+    .unwrap();
     let sharded = CoreService::start_sharded(
         graph,
         ShardPlan::FixedCount(4),

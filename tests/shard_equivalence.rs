@@ -1,14 +1,14 @@
 //! The cross-shard correctness harness: a time-interval `ShardedEngine`
-//! must be indistinguishable from the span-wide `QueryEngine` on every
-//! query, for every shard plan.
+//! must be indistinguishable from fresh, uncached per-query execution (the
+//! `Algorithm` backends) on every query, for every shard plan.
 //!
 //! Two layers of evidence:
 //!
 //! * `sharded_matches_unsharded` — the property test of the sharding PR:
 //!   random graphs, random shard plans (including the degenerate one-shard
 //!   and one-shard-per-timestamp layouts), all four algorithms and the
-//!   `CachedBackend`/`ShardedBackend` pair; every `(k, window)` query must
-//!   return identical cores and counts through both engines.  The sharded
+//!   `Algorithm`/`ShardedBackend` pair; every `(k, window)` query must
+//!   return identical cores and counts through both paths.  The sharded
 //!   engine runs with its default boundary-stitch cache, so the property
 //!   also proves the stitched boundary pass exact (the dedicated
 //!   `boundary_index` harness additionally compares it against the
@@ -74,7 +74,7 @@ proptest! {
 
     /// For random graphs, random shard plans and every algorithm, every
     /// `(k, window)` query returns identical cores and counts through the
-    /// `ShardedEngine` and the span-wide `QueryEngine`.
+    /// `ShardedEngine` and fresh per-query execution.
     #[test]
     fn sharded_matches_unsharded(
         g in arb_graph(10, 40, 8),
@@ -83,7 +83,6 @@ proptest! {
         (raw_start, raw_len) in (1u32..=8, 0u32..8),
     ) {
         let plan = plan_for(kind, param, g.tmax());
-        let span_engine = QueryEngine::new(g.clone());
         let sharded = ShardedEngine::new(g.clone(), plan.clone())
             .expect("derived plans are valid");
 
@@ -101,7 +100,7 @@ proptest! {
             let query = TimeRangeKCoreQuery::new(k, window).expect("k >= 1");
             for algo in Algorithm::ALL {
                 let mut expected = CollectingSink::default();
-                span_engine.run_with(&query, algo, &mut expected)
+                algo.execute(&g, k, window, &mut expected)
                     .expect("window is inside the span");
                 let mut got = CollectingSink::default();
                 sharded.run_with(&query, algo, &mut got)
@@ -115,15 +114,13 @@ proptest! {
             }
         }
 
-        // The two backend wrappers agree as well (same CoreBackend surface
-        // the request/serving layers drive).
-        let span_arc = Arc::new(span_engine);
+        // The backend wrapper agrees as well (same CoreBackend surface the
+        // request/serving layers drive).
         let sharded_arc = Arc::new(sharded);
-        let cached = CachedBackend::new(Arc::clone(&span_arc));
         let sharded_backend = ShardedBackend::new(Arc::clone(&sharded_arc));
         let mut a = CollectingSink::default();
-        let stats_a = cached
-            .execute(span_arc.graph(), k, g.span(), &mut a)
+        let stats_a = Algorithm::Enum
+            .execute(&g, k, g.span(), &mut a)
             .expect("span query is valid");
         let mut b = CollectingSink::default();
         let stats_b = sharded_backend
@@ -136,7 +133,7 @@ proptest! {
 
     /// The shard-affinity scheduler (per-shard lanes + work stealing) never
     /// changes answers: a 2-worker `Affinity::Shard` service over a sharded
-    /// engine returns the same cores as the unsharded engine for random
+    /// engine returns the same cores as fresh per-query execution for random
     /// graphs, plans and windows.
     #[test]
     fn affine_service_matches_unsharded(
@@ -146,7 +143,6 @@ proptest! {
         (raw_start, raw_len) in (1u32..=8, 0u32..8),
     ) {
         let plan = plan_for(kind, param, g.tmax());
-        let span_engine = QueryEngine::new(g.clone());
         let sharded = Arc::new(
             ShardedEngine::new(g.clone(), plan.clone()).expect("derived plans are valid"),
         );
@@ -162,9 +158,8 @@ proptest! {
         let start = raw_start.min(g.tmax());
         let window = TimeWindow::new(start, (start + raw_len).min(g.tmax()));
         for window in [g.span(), window] {
-            let query = TimeRangeKCoreQuery::new(k, window).expect("k >= 1");
             let mut expected = CollectingSink::default();
-            span_engine.run_with(&query, Algorithm::Enum, &mut expected)
+            Algorithm::Enum.execute(&g, k, window, &mut expected)
                 .expect("window is inside the span");
             let reply = service
                 .submit(

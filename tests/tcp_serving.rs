@@ -29,10 +29,14 @@ fn round_trip(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &
 
 #[test]
 fn tcp_round_trip_serves_queries_deadlines_and_drains() {
-    let service = Arc::new(CoreService::start(
-        paper_example::graph(),
-        ServiceConfig::default(),
-    ));
+    let service = Arc::new(
+        CoreService::start_sharded(
+            paper_example::graph(),
+            ShardPlan::Span,
+            ServiceConfig::default(),
+        )
+        .unwrap(),
+    );
     let server = Arc::new(
         TkServer::bind(Arc::clone(&service), "127.0.0.1:0", ServerConfig::default()).unwrap(),
     );
@@ -117,10 +121,14 @@ fn tcp_round_trip_serves_queries_deadlines_and_drains() {
 
 #[test]
 fn a_cut_connection_gets_a_truncated_line_reply() {
-    let service = Arc::new(CoreService::start(
-        paper_example::graph(),
-        ServiceConfig::default(),
-    ));
+    let service = Arc::new(
+        CoreService::start_sharded(
+            paper_example::graph(),
+            ShardPlan::Span,
+            ServiceConfig::default(),
+        )
+        .unwrap(),
+    );
     let server = Arc::new(
         TkServer::bind(Arc::clone(&service), "127.0.0.1:0", ServerConfig::default()).unwrap(),
     );
@@ -145,6 +153,46 @@ fn a_cut_connection_gets_a_truncated_line_reply() {
     reader.read_line(&mut reply).expect("reply");
     assert!(reply.contains(r#""error":"BadRequest""#), "{reply}");
     assert!(reply.contains("truncated final request line"), "{reply}");
+
+    server.stop();
+    acceptor
+        .join()
+        .expect("acceptor thread exits cleanly")
+        .expect("serve returns Ok on stop");
+}
+
+#[test]
+fn a_deeply_nested_line_is_refused_and_the_server_stays_up() {
+    let service = Arc::new(
+        CoreService::start_sharded(
+            paper_example::graph(),
+            ShardPlan::Span,
+            ServiceConfig::default(),
+        )
+        .unwrap(),
+    );
+    let server = Arc::new(
+        TkServer::bind(Arc::clone(&service), "127.0.0.1:0", ServerConfig::default()).unwrap(),
+    );
+    let addr = server.local_addr();
+    let acceptor = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || server.serve())
+    };
+
+    // 100,000 nested arrays: an unbounded recursive parser runs off the
+    // end of its worker's stack, which aborts the whole process.
+    let hostile = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let reply = round_trip(&mut stream, &mut reader, &hostile);
+    assert!(reply.contains(r#""error":"BadRequest""#), "{reply}");
+    drop((stream, reader));
+
+    let mut stream = TcpStream::connect(addr).expect("the server still accepts");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let reply = round_trip(&mut stream, &mut reader, r#"{"op": "ping"}"#);
+    assert_eq!(reply, r#"{"status":"ok","op":"ping"}"#);
 
     server.stop();
     acceptor
