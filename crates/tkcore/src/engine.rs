@@ -69,8 +69,8 @@ pub struct CacheStats {
     /// Per-shard counters, one entry per shard of the engine's plan, in
     /// timeline order (a single entry for [`crate::ShardPlan::Span`]).
     pub per_shard: Vec<ShardCacheStats>,
-    /// Counters of the boundary-stitch index cache (always zero for a
-    /// one-shard plan, which has no cut to cross; see [`crate::shard`]).
+    /// Counters of the boundary-stitch index cache (zero while the engine
+    /// has one shard, since no window crosses a cut; see [`crate::shard`]).
     pub boundary: BoundaryCacheStats,
     /// Tail-shard `(shard, k)` skylines dropped by ingest
     /// ([`crate::ShardedEngine::absorb`]): closed-shard skylines are never

@@ -43,9 +43,9 @@
 //!   per-worker blocks), keeping `(shard, k)` skylines and boundary-stitch
 //!   entries hot in one worker's hands; [`Affinity::Shared`] simply
 //!   load-balances.  Either way idle workers **steal** across lanes, so
-//!   affinity is a locality preference, never a stall.  Engines created by
-//!   [`CoreService::start_sharded`] share the service's pool, so a multi-`k` sweep
-//!   fans out on the same threads that serve requests;
+//!   affinity is a locality preference, never a stall.  Engines created
+//!   by [`CoreService::start_sharded`] share the service's pool, so a
+//!   multi-`k` sweep fans out on the same threads that serve requests;
 //! * a panicking request (e.g. a panicking streaming sink) is caught on
 //!   the worker: the ticket resolves to [`TkError::WorkerPanicked`], the
 //!   thread survives, and [`ServiceStats`] — including the per-worker
