@@ -367,6 +367,10 @@ mod tests {
     fn a_panicking_sink_does_not_wedge_later_cache_stats_calls() {
         let g = paper_example::graph();
         let engine = Arc::new(span_engine(&g));
+        // Pre-warm so the miss counter below is deterministic: cold batch
+        // queries fanned across several workers may each count a miss for
+        // the one skyline (the documented build race).
+        engine.warm(2);
         let queries = vec![TimeRangeKCoreQuery::new(2, g.span()).unwrap(); 4];
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             engine.run_batch_with(&queries, Algorithm::Enum, |_| ExplodingSink)
@@ -378,6 +382,23 @@ mod tests {
         // every later caller.  Stats and fresh queries must still work.
         let stats = engine.cache_stats();
         assert_eq!(stats.misses, 1, "the skyline build survived the panic");
+        assert_eq!(stats.resident_indexes, 1);
+        let mut sink = CountingSink::default();
+        engine
+            .run(&TimeRangeKCoreQuery::new(2, g.span()).unwrap(), &mut sink)
+            .unwrap();
+        assert!(sink.num_cores > 0);
+    }
+
+    #[test]
+    fn a_poisoned_cache_lock_recovers_instead_of_wedging() {
+        let g = graph();
+        let engine = span_engine(&g);
+        engine.warm(2);
+        engine.poison_cache_lock();
+        // Every later caller recovers the guard instead of propagating.
+        assert_eq!(engine.cache_stats().resident_indexes, 1);
+        assert!(engine.warm(2), "cached skyline still resident");
         let mut sink = CountingSink::default();
         engine
             .run(&TimeRangeKCoreQuery::new(2, g.span()).unwrap(), &mut sink)

@@ -706,8 +706,10 @@ fn compose_boundary_skyline(
 /// use tkcore::{paper_example, ShardPlan, ShardedEngine, TimeRangeKCoreQuery, CountingSink};
 /// use temporal_graph::TimeWindow;
 ///
-/// // Unsharded: both queries share one span-wide skyline for k = 2.
+/// // Unsharded: both queries share one span-wide skyline for k = 2, built
+/// // once up front (cold queries racing on several workers may each build).
 /// let engine = ShardedEngine::new(paper_example::graph(), ShardPlan::Span).unwrap();
+/// engine.warm(2);
 /// let queries = [
 ///     TimeRangeKCoreQuery::new(2, TimeWindow::new(1, 4)).unwrap(),
 ///     TimeRangeKCoreQuery::new(2, TimeWindow::new(2, 7)).unwrap(),
@@ -715,7 +717,8 @@ fn compose_boundary_skyline(
 /// let (results, stats) = engine.run_batch(&queries).unwrap();
 /// assert_eq!(results[0].0.num_cores, 2); // Figure 2 of the paper
 /// assert_eq!(stats.num_queries, 2);
-/// assert_eq!(engine.cache_stats().misses, 1);
+/// let cache = engine.cache_stats();
+/// assert_eq!((cache.misses, cache.hits), (1, 2));
 ///
 /// // Four shards: the same answer, stitched across the shard cuts.
 /// let engine = ShardedEngine::new(paper_example::graph(), ShardPlan::FixedCount(4)).unwrap();
@@ -1158,6 +1161,21 @@ impl ShardedEngine {
             batch.enumerate_time += stats.enumerate_time;
         }
         Ok((per_query, batch))
+    }
+}
+
+#[cfg(test)]
+impl ShardedEngine {
+    /// Poisons the shard cache mutex — panics while holding its guard — so
+    /// tests outside this module can prove later callers recover it.
+    pub(crate) fn poison_cache_lock(&self) {
+        let inner = Arc::clone(&self.inner);
+        let poisoner = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = inner.cache.lock().expect("not poisoned yet");
+            panic!("poison the shard cache lock");
+        }));
+        assert!(poisoner.is_err());
+        assert!(self.inner.cache.is_poisoned());
     }
 }
 
