@@ -28,14 +28,6 @@ pub struct EngineConfig {
     /// `CoreService::start_sharded`/`over_sharded`), that pool's size
     /// governs and this field is ignored.
     pub num_threads: usize,
-    /// Maximum number of cached boundary-stitch entries (one entry per
-    /// `(shard range, k)` holding the cut-crossing minimal core windows;
-    /// see [`crate::shard`]).  `0` disables the stitch cache, restoring the
-    /// transient merged-skyline pass that rebuilds per boundary-spanning
-    /// query — the better choice when spanning windows are one-off, since a
-    /// stitch entry's first build sweeps its shard range's whole merged
-    /// window, not just the triggering query's window.
-    pub boundary_cache_entries: usize,
     /// When the live tail shard is rolled into a closed shard during
     /// ingest (see [`crate::ShardedEngine::absorb`]).
     pub seal_policy: SealPolicy,
@@ -46,7 +38,6 @@ impl Default for EngineConfig {
         Self {
             memory_budget_bytes: 256 * 1024 * 1024,
             num_threads: 0,
-            boundary_cache_entries: 32,
             seal_policy: SealPolicy::Manual,
         }
     }
@@ -111,7 +102,8 @@ pub struct WarmStats {
 /// [`crate::ShardedEngine`]: one LRU-cached entry per `(shard range, k)`
 /// holding the cut-crossing minimal core windows of that range's merged
 /// window, built on the first boundary-spanning query and reused until
-/// evicted (see [`EngineConfig::boundary_cache_entries`]).
+/// evicted (at most 32 entries, least recently used first; see
+/// [`crate::shard`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BoundaryCacheStats {
     /// Stitch entries built (one merged-window sweep each).

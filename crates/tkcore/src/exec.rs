@@ -173,11 +173,19 @@ impl ExecPool {
 }
 
 impl Drop for ExecPool {
+    /// Closes the pool and joins its workers.  The last `Arc` may be
+    /// dropped by a task running on one of those workers (a batch task
+    /// holding the engine that owns the pool); that worker is not joined,
+    /// since joining the current thread fails.  It exits on its own once
+    /// the task returns and finds the pool closed and drained.
     fn drop(&mut self) {
         self.close();
         let handles = std::mem::take(&mut *sync::lock(&self.handles));
+        let current = std::thread::current().id();
         for handle in handles {
-            let _ = handle.join();
+            if handle.thread().id() != current {
+                let _ = handle.join();
+            }
         }
     }
 }
@@ -388,5 +396,25 @@ mod tests {
         }
         drop(pool);
         assert_eq!(counter.load(Ordering::Relaxed), 8, "drained before join");
+    }
+
+    #[test]
+    fn a_task_dropping_the_last_handle_does_not_join_its_own_worker() {
+        let pool = ExecPool::new(2);
+        let last = Arc::clone(&pool);
+        let (tx, rx) = std::sync::mpsc::channel();
+        pool.spawn(move |_| {
+            // Wait until the caller's handle is gone, so this drop is the
+            // one that runs `ExecPool::drop`, on a pool worker.
+            while Arc::strong_count(&last) > 1 {
+                std::thread::yield_now();
+            }
+            drop(last);
+            tx.send(()).unwrap();
+        });
+        drop(pool);
+        // A panic inside the drop would unwind past the send and drop `tx`.
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("the task survived dropping the pool it runs on");
     }
 }

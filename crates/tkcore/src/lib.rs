@@ -52,9 +52,9 @@
 //!   [`LatencyHistogram`]s — stays intact;
 //! * boundary-spanning queries on a [`ShardedEngine`] reuse a small
 //!   LRU-cached **boundary-stitch index** (the cut-crossing minimal core
-//!   windows per `(shard range, k)`, see [`shard`]) instead of re-sweeping
-//!   a merged sub-window skyline per query; its counters appear in
-//!   [`CacheStats::boundary`].
+//!   windows per `(shard range, k)`, see [`shard`]): composed with the
+//!   restricted shard skylines it gives the window's skyline, which is
+//!   enumerated once; its counters appear in [`CacheStats::boundary`].
 //!
 //! # Sharding
 //!
@@ -66,11 +66,14 @@
 //! cold-build bottleneck on big graphs, the other plans cut the timeline
 //! into contiguous time-interval shards.
 //!
-//! Answers stay **exact** at shard boundaries: every core's tightest time
-//! interval either fits inside one shard's slice of the window (answered by
-//! restricting that shard's skyline) or crosses a cut (enumerated from a
-//! stitched skyline of the window).  The [`shard`] module gives the
-//! argument; the `shard_equivalence` test harness checks it for random
+//! Answers stay **exact** at shard boundaries: every query enumerates the
+//! skyline of its own window exactly once.  Inside one shard that skyline
+//! is a restriction of the shard's skyline; across cuts it is the
+//! restricted shard skylines merged with the cached cut-crossing windows,
+//! which together are every minimal core window inside the window.  Each
+//! core is therefore emitted once, in the order a fresh per-query run
+//! emits it.  The [`shard`] module gives the argument; the
+//! `shard_equivalence` and `boundary_index` harnesses check it for random
 //! graphs, random plans and all four algorithms.
 //!
 //! # Live ingestion

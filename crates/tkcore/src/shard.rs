@@ -43,51 +43,40 @@
 //!
 //! # Exactness at shard boundaries
 //!
-//! Every distinct temporal k-core `C` of a query window `W` equals the
-//! k-core of its own TTI (`C = core(TTI(C))`, `TTI(C) ⊆ W`), so the cores of
-//! `W` partition by where their TTI falls relative to the shard cuts:
+//! Every query, sharded or not, enumerates **one** skyline: the skyline of
+//! its own window `W`, built from cached pieces.  Enumerating that skyline
+//! once is exactly what a fresh per-query run does, so each temporal
+//! k-core of `W` is emitted once and the answer — in the same order — is
+//! the unsharded answer.  What sharding changes is only how the skyline of
+//! `W` is assembled.  Minimality of a core window is a property of the
+//! graph alone, so the skyline of `W` splits into two disjoint classes:
 //!
-//! 1. **Intra-shard cores** (`TTI ⊆ I_s ∩ W` for some shard interval
-//!    `I_s`): these are exactly the cores of the range `I_s ∩ W`, answered
-//!    by restricting shard `s`'s cached skyline
-//!    ([`EdgeCoreSkyline::restrict`], exact as argued above).
-//! 2. **Boundary-spanning cores** (TTI contains a cut, i.e. both `c` and
-//!    `c + 1` for some shard boundary after timestamp `c`): these cannot be
-//!    derived from per-shard skylines (their minimal windows were dropped at
-//!    build time) and are enumerated from a skyline of `W` itself through a
-//!    filter that forwards only cores whose TTI crosses a cut.
+//! 1. **Intra-shard windows** (`w ⊆ W ∩ I_s` for some shard interval
+//!    `I_s`): exactly the restricted skyline of shard `s`
+//!    ([`EdgeCoreSkyline::restrict`], exact as argued above).  A window
+//!    inside one shard has no other class, so restriction alone is its
+//!    skyline.
+//! 2. **Cut-crossing windows** (containing both `c` and `c + 1` for some
+//!    shard boundary after timestamp `c`): these were dropped when the
+//!    shard skylines were built, and come from the stitch entry below.
 //!
-//! The two sets are disjoint (a TTI either fits inside one shard or crosses
-//! a cut) and jointly exhaustive, and within one graph a TTI identifies its
-//! core uniquely — so the stitched answer equals the span-wide answer
-//! exactly.  The `shard_equivalence` and `boundary_index` test harnesses
-//! assert this against fresh per-query execution for random graphs, random
-//! plans and all four algorithms.
+//! A per-edge merge of the two sorted classes yields the skyline of `W`.
+//! The `shard_equivalence`, `boundary_index` and `flat_skyline` harnesses
+//! assert the result against fresh per-query execution for random graphs,
+//! random plans and all four algorithms.
 //!
 //! # The boundary-stitch index
 //!
-//! The skyline of `W` needed by step 2 used to be rebuilt transiently on
-//! *every* boundary-spanning query — a full CoreTime sweep per query.  The
-//! engine now assembles it from cached pieces instead:
-//!
-//! * minimality of a core window is a property of the graph alone, so the
-//!   skyline of `W` splits into the **intra-shard windows** (`w ⊆ W ∩ I_s`
-//!   for some shard `s` — exactly the restricted per-shard skylines already
-//!   fetched for step 1) and the **cut-crossing windows**;
-//! * the cut-crossing windows come from a small LRU-cached **stitch entry**
-//!   per `(shard range, k)` — for the common case of a window spanning one
-//!   cut, per adjacent shard pair `(i, i + 1, k)`.  An entry is built once,
-//!   on the first spanning query of its shard range (one merged-window
-//!   sweep, filtered down to the cut-crossing windows only), and reused by
-//!   every later spanning query of that range;
-//! * a per-edge merge of the two sorted classes reproduces the skyline of
-//!   `W` in `O(|E_W| + |ECS_W|)` — restriction cost, not sweep cost.
-//!
-//! Warm boundary-spanning queries therefore stop paying the per-query
-//! sweep.  The stitch cache is bounded by
-//! [`EngineConfig::boundary_cache_entries`] (LRU; `0` restores the
-//! transient rebuild) and its counters are reported in
-//! [`CacheStats::boundary`].
+//! The cut-crossing windows come from a small LRU-cached **stitch entry**
+//! per `(shard range, k)` — for the common case of a window spanning one
+//! cut, per adjacent shard pair `(i, i + 1, k)`.  An entry is built once,
+//! on the first spanning query of its shard range (one merged-window sweep,
+//! filtered down to the cut-crossing windows only), and reused by every
+//! later spanning query of that range.  Composing it with the restricted
+//! shard skylines costs `O(|E_W| + |ECS_W|)` — restriction cost, not sweep
+//! cost — so a warm spanning query pays restrict, compose and one
+//! enumeration.  The cache holds at most 32 entries (LRU) and its counters
+//! are reported in [`CacheStats::boundary`].
 //!
 //! # Live ingestion
 //!
@@ -122,7 +111,7 @@ use crate::query::{Algorithm, QueryStats, TimeRangeKCoreQuery};
 use crate::request::QueryRequest;
 use crate::sink::{CountingSink, ResultSink};
 use crate::sync;
-use temporal_graph::{AppendableGraph, EdgeId, TemporalGraph, TimeWindow, Timestamp};
+use temporal_graph::{AppendableGraph, TemporalGraph, TimeWindow, Timestamp};
 
 /// How to cut the graph's timeline `[1, tmax]` into contiguous shards.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -472,11 +461,14 @@ struct BoundaryEntry {
     validity: Validity,
 }
 
+/// Maximum resident boundary-stitch entries, one per `(shard range, k)`;
+/// the least recently used entry beyond it is evicted.
+const STITCH_CACHE_ENTRIES: usize = 32;
+
 /// LRU cache of boundary-stitch entries, keyed by `(lo shard, hi shard, k)`.
+#[derive(Default)]
 struct BoundaryCache {
     entries: HashMap<(usize, usize, usize), BoundaryEntry>,
-    /// Maximum resident entries; `0` disables the cache entirely.
-    capacity: usize,
     clock: u64,
     builds: u64,
     hits: u64,
@@ -486,19 +478,6 @@ struct BoundaryCache {
 }
 
 impl BoundaryCache {
-    fn new(capacity: usize) -> Self {
-        Self {
-            entries: HashMap::new(),
-            capacity,
-            clock: 0,
-            builds: 0,
-            hits: 0,
-            evictions: 0,
-            invalidations: 0,
-            resident_bytes: 0,
-        }
-    }
-
     fn get(&mut self, lo: usize, hi: usize, k: usize, epoch: u64) -> Option<Arc<EdgeCoreSkyline>> {
         self.clock += 1;
         let clock = self.clock;
@@ -548,7 +527,7 @@ impl BoundaryCache {
                 built
             }
         };
-        while self.entries.len() > self.capacity.max(1) {
+        while self.entries.len() > STITCH_CACHE_ENTRIES {
             let Some((&victim, _)) = self
                 .entries
                 .iter()
@@ -613,27 +592,6 @@ impl BoundaryCache {
     fn clear(&mut self) {
         self.entries.clear();
         self.resident_bytes = 0;
-    }
-}
-
-/// Forwards only cores whose TTI crosses at least one shard cut, counting
-/// what it lets through (the stitching filter of the boundary pass).
-struct BoundarySink<'a> {
-    inner: &'a mut dyn ResultSink,
-    /// Shard boundaries inside the query window: a cut after timestamp `c`
-    /// is crossed by a TTI `[a, b]` iff `a <= c < b`.
-    cuts: &'a [Timestamp],
-    cores: u64,
-    edges: u64,
-}
-
-impl ResultSink for BoundarySink<'_> {
-    fn emit(&mut self, tti: TimeWindow, edges: &[EdgeId]) {
-        if self.cuts.iter().any(|&c| tti.start() <= c && c < tti.end()) {
-            self.cores += 1;
-            self.edges += edges.len() as u64;
-            self.inner.emit(tti, edges);
-        }
     }
 }
 
@@ -839,7 +797,7 @@ impl ShardedEngine {
     ) -> Result<Self, TkError> {
         let shards = plan.resolve(&graph)?;
         let cache = Mutex::new(ShardCache::new(config.memory_budget_bytes, shards.len()));
-        let boundary = Mutex::new(BoundaryCache::new(config.boundary_cache_entries));
+        let boundary = Mutex::new(BoundaryCache::default());
         let sealed = shards.len() - 1;
         let mut appendable = AppendableGraph::from_graph(graph);
         if sealed > 0 {
@@ -1062,13 +1020,12 @@ impl ShardedEngine {
 
     /// Runs one query with the chosen algorithm.
     ///
-    /// `Enum` and `EnumBase` answer from restricted shard skylines plus the
-    /// boundary-stitching pass; `Otcd` and `Naive` have no reusable index
-    /// and run exactly as [`TimeRangeKCoreQuery::run_with`] does.
-    ///
-    /// Cores are streamed in per-shard order (intra-shard cores first, then
-    /// boundary-spanning ones), which differs from the span-wide engine's
-    /// order; the *set* of `(TTI, edges)` pairs is identical.
+    /// `Enum` and `EnumBase` enumerate the window's skyline once, assembled
+    /// from restricted shard skylines (plus the cached cut-crossing windows
+    /// when the window spans a cut); `Otcd` and `Naive` have no reusable
+    /// index and run exactly as [`TimeRangeKCoreQuery::run_with`] does.
+    /// Either way cores stream in the order of a fresh
+    /// [`TimeRangeKCoreQuery::run_with`].
     ///
     /// # Errors
     /// The validation errors of [`QueryRequest::validate`].
@@ -1161,21 +1118,6 @@ impl ShardedEngine {
             batch.enumerate_time += stats.enumerate_time;
         }
         Ok((per_query, batch))
-    }
-}
-
-#[cfg(test)]
-impl ShardedEngine {
-    /// Poisons the shard cache mutex — panics while holding its guard — so
-    /// tests outside this module can prove later callers recover it.
-    pub(crate) fn poison_cache_lock(&self) {
-        let inner = Arc::clone(&self.inner);
-        let poisoner = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = inner.cache.lock().expect("not poisoned yet");
-            panic!("poison the shard cache lock");
-        }));
-        assert!(poisoner.is_err());
-        assert!(self.inner.cache.is_poisoned());
     }
 }
 
@@ -1412,9 +1354,7 @@ impl ShardInner {
     ///
     /// The build covers the shard range's whole merged window, not just the
     /// triggering query's window, so the entry serves *every* later
-    /// spanning window of the range; a one-off spanning query thus pays a
-    /// wider sweep than the transient path would — the trade
-    /// [`EngineConfig::boundary_cache_entries`]` = 0` opts out of.
+    /// spanning window of the range.
     fn stitch_entry(
         &self,
         live: &LiveState,
@@ -1453,107 +1393,57 @@ impl ShardInner {
             Algorithm::Enum | Algorithm::EnumBase => {
                 let shards = live.overlapping(window);
                 debug_assert!(!shards.is_empty(), "validated window overlaps a shard");
-                let spanning = shards.len() > 1;
-                let stitch_cached = self.config.boundary_cache_entries > 0;
-                let mut total = QueryStats::zeroed(algorithm);
-                let mut parts: Vec<EdgeCoreSkyline> = Vec::new();
                 // Take the whole scratch pool for this query (short lock,
                 // guard dropped immediately); retired skylines are recycled
                 // into it and the pool is merged back at the end.
                 let mut scratch = std::mem::take(&mut *sync::lock(&self.scratch));
-
+                let t0 = Instant::now();
                 // Prefetch every overlapping shard's skyline, building the
                 // cold ones in parallel on the pool (see `shard_skylines`).
-                let t_prefetch = Instant::now();
                 let (skylines, _, _) = self.shard_skylines(live, shards.clone(), k);
-                total.precompute_time += t_prefetch.elapsed();
-
-                // Intra-shard cores: restrict each overlapping shard's
-                // cached skyline to its part of the window.  The restricted
-                // skylines double as the intra-shard half of the boundary
-                // stitch, so they are kept when a spanning pass follows.
-                for (shard, skyline) in shards.clone().zip(&skylines) {
-                    let part = live.shards[shard]
-                        .intersect(&window)
-                        // tkc-lint: allow(no-panic-api) — `shards` only lists shards overlapping `window`, so the intersection is non-empty
-                        .expect("overlapping shard intersects the window");
-                    let t0 = Instant::now();
-                    let restricted = skyline.restrict_with(&live.graph, part, &mut scratch);
-                    let precompute = t0.elapsed();
-                    let stats = TimeRangeKCoreQuery::validated(k, part)
-                        .run_with_skyline(&live.graph, &restricted, algorithm, sink)
-                        // tkc-lint: allow(no-panic-api) — restrict() targets exactly the shard part, so validation cannot reject it
-                        .expect("restricted shard skyline matches the part by construction");
-                    total.num_cores += stats.num_cores;
-                    total.total_result_edges += stats.total_result_edges;
-                    total.precompute_time += precompute;
-                    total.enumerate_time += stats.enumerate_time;
-                    total.peak_memory_bytes = total.peak_memory_bytes.max(stats.peak_memory_bytes);
-                    if spanning && stitch_cached {
-                        parts.push(restricted);
-                    } else {
-                        scratch.recycle(restricted);
+                // The skyline of the window itself: a window inside one
+                // shard is a restriction of it; a spanning window composes
+                // the restricted shard parts with the cached cut-crossing
+                // windows (see the module docs).
+                let (skyline, build_peak) = if let [only] = skylines.as_slice() {
+                    (only.restrict_with(&live.graph, window, &mut scratch), 0)
+                } else {
+                    let parts: Vec<EdgeCoreSkyline> = shards
+                        .clone()
+                        .zip(&skylines)
+                        .map(|(shard, skyline)| {
+                            let part = live.shards[shard]
+                                .intersect(&window)
+                                // tkc-lint: allow(no-panic-api) — `shards` only lists shards overlapping `window`, so the intersection is non-empty
+                                .expect("overlapping shard intersects the window");
+                            skyline.restrict_with(&live.graph, part, &mut scratch)
+                        })
+                        .collect();
+                    let (crossing, build_peak) =
+                        self.stitch_entry(live, shards.start, shards.end - 1, k);
+                    let stitched = compose_boundary_skyline(
+                        &live.graph,
+                        k,
+                        window,
+                        &parts,
+                        &crossing,
+                        &mut scratch,
+                    );
+                    for part in parts {
+                        scratch.recycle(part);
                     }
-                }
-
-                // Boundary-spanning cores: enumerate the skyline of the
-                // window itself through the cut-crossing filter.  With the
-                // stitch cache on, that skyline is assembled from the
-                // restricted shard skylines plus the cached cut-crossing
-                // windows; with the cache off it is rebuilt transiently
-                // (one CoreTime sweep per spanning query).
-                if spanning {
-                    let (lo, hi) = (shards.start, shards.end - 1);
-                    let cuts: Vec<Timestamp> = (lo..hi).map(|s| live.shards[s].end()).collect();
-                    let t0 = Instant::now();
-                    let stitched = if stitch_cached {
-                        let (crossing, build_peak) = self.stitch_entry(live, lo, hi, k);
-                        total.peak_memory_bytes = total.peak_memory_bytes.max(build_peak);
-                        compose_boundary_skyline(
-                            &live.graph,
-                            k,
-                            window,
-                            &parts,
-                            &crossing,
-                            &mut scratch,
-                        )
-                    } else {
-                        EdgeCoreSkyline::build(&live.graph, k, window)
-                    };
-                    total.precompute_time += t0.elapsed();
-                    let mut boundary = BoundarySink {
-                        inner: sink,
-                        cuts: &cuts,
-                        cores: 0,
-                        edges: 0,
-                    };
-                    let t1 = Instant::now();
-                    let peak = match algorithm {
-                        Algorithm::Enum => {
-                            crate::enumerate(&live.graph, &stitched, &mut boundary)
-                                .peak_memory_bytes
-                        }
-                        Algorithm::EnumBase => {
-                            crate::enumerate_base(&live.graph, &stitched, &mut boundary)
-                                .peak_memory_bytes
-                        }
-                        // tkc-lint: allow(no-panic-api) — the outer match already handled Otcd and Naive
-                        _ => unreachable!("outer match covers Otcd and Naive"),
-                    };
-                    total.enumerate_time += t1.elapsed();
-                    total.num_cores += boundary.cores;
-                    total.total_result_edges += boundary.edges;
-                    total.peak_memory_bytes = total
-                        .peak_memory_bytes
-                        .max(peak)
-                        .max(stitched.memory_bytes());
-                    scratch.recycle(stitched);
-                }
-                for part in parts {
-                    scratch.recycle(part);
-                }
+                    (stitched, build_peak)
+                };
+                let precompute_time = t0.elapsed();
+                let mut stats = TimeRangeKCoreQuery::validated(k, window)
+                    .run_with_skyline(&live.graph, &skyline, algorithm, sink)
+                    // tkc-lint: allow(no-panic-api) — restriction and composition both target exactly `(k, window)`, and this arm admits only skyline algorithms
+                    .expect("the window's skyline matches the query by construction");
+                stats.precompute_time = precompute_time;
+                stats.peak_memory_bytes = stats.peak_memory_bytes.max(build_peak);
+                scratch.recycle(skyline);
                 sync::lock(&self.scratch).absorb(scratch);
-                total
+                stats
             }
         }
     }
@@ -1661,6 +1551,20 @@ mod tests {
     use crate::paper_example;
     use crate::sink::CollectingSink;
     use crate::TemporalKCore;
+
+    impl ShardedEngine {
+        /// Poisons the shard cache mutex — panics while holding its guard — so
+        /// tests outside this module can prove later callers recover it.
+        pub(crate) fn poison_cache_lock(&self) {
+            let inner = Arc::clone(&self.inner);
+            let poisoner = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _guard = inner.cache.lock().expect("not poisoned yet");
+                panic!("poison the shard cache lock");
+            }));
+            assert!(poisoner.is_err());
+            assert!(self.inner.cache.is_poisoned());
+        }
+    }
 
     fn canonical(mut cores: Vec<TemporalKCore>) -> Vec<TemporalKCore> {
         cores.sort_by(|a, b| a.tti.cmp(&b.tti).then_with(|| a.edges.cmp(&b.edges)));
@@ -1804,65 +1708,91 @@ mod tests {
 
     #[test]
     fn stitch_cache_lru_respects_the_entry_budget() {
-        let g = paper_example::graph();
+        let g = paper_example::graph(); // tmax = 7
         let engine = ShardedEngine::with_config(
             g.clone(),
-            ShardPlan::FixedCount(7),
+            ShardPlan::FixedCount(7), // one shard per timestamp
             EngineConfig {
-                boundary_cache_entries: 1,
                 num_threads: 1,
                 ..EngineConfig::default()
             },
         )
         .unwrap();
-        // Two spanning queries over different shard ranges: the second entry
-        // evicts the first.
-        let mut sink = CountingSink::default();
-        engine
-            .run(
-                &TimeRangeKCoreQuery::new(2, TimeWindow::new(1, 2)).unwrap(),
-                &mut sink,
-            )
-            .unwrap();
-        engine
-            .run(
-                &TimeRangeKCoreQuery::new(2, TimeWindow::new(5, 7)).unwrap(),
-                &mut sink,
-            )
-            .unwrap();
+        // Every window [s, e] with s < e spans shards s-1..=e-1: 21 distinct
+        // shard ranges per k, so k = 1 and 2 give 42 keys, past the cap.
+        let mut keys = 0;
+        for k in 1..=2 {
+            for start in 1..g.tmax() {
+                for end in start + 1..=g.tmax() {
+                    let mut sink = CountingSink::default();
+                    engine
+                        .run(
+                            &TimeRangeKCoreQuery::new(k, TimeWindow::new(start, end)).unwrap(),
+                            &mut sink,
+                        )
+                        .unwrap();
+                    keys += 1;
+                }
+            }
+        }
+        assert!(keys > STITCH_CACHE_ENTRIES);
         let stats = engine.cache_stats();
-        assert_eq!(stats.boundary.builds, 2, "{stats:?}");
-        assert_eq!(stats.boundary.resident_entries, 1, "{stats:?}");
-        assert!(stats.boundary.evictions >= 1, "{stats:?}");
+        assert_eq!(stats.boundary.builds, keys as u64, "{stats:?}");
+        assert_eq!(stats.boundary.hits, 0, "{stats:?}");
+        assert_eq!(
+            stats.boundary.resident_entries, STITCH_CACHE_ENTRIES,
+            "{stats:?}"
+        );
+        assert_eq!(
+            stats.boundary.evictions,
+            (keys - STITCH_CACHE_ENTRIES) as u64,
+            "{stats:?}"
+        );
+        // The most recent key is still resident; the oldest was evicted.
+        let mut sink = CountingSink::default();
+        let newest = TimeRangeKCoreQuery::new(2, TimeWindow::new(6, 7)).unwrap();
+        engine.run(&newest, &mut sink).unwrap();
+        assert_eq!(engine.cache_stats().boundary.hits, 1);
+        let oldest = TimeRangeKCoreQuery::new(1, TimeWindow::new(1, 2)).unwrap();
+        engine.run(&oldest, &mut sink).unwrap();
+        let stats = engine.cache_stats();
+        assert_eq!(stats.boundary.hits, 1, "{stats:?}");
+        assert_eq!(stats.boundary.builds, keys as u64 + 1, "{stats:?}");
     }
 
     #[test]
-    fn disabled_stitch_cache_matches_the_cached_path() {
+    fn spanning_queries_deliver_each_core_once_and_count_what_they_deliver() {
         let g = paper_example::graph();
-        let cached = ShardedEngine::new(g.clone(), ShardPlan::FixedCount(4)).unwrap();
-        let transient = ShardedEngine::with_config(
-            g.clone(),
-            ShardPlan::FixedCount(4),
-            EngineConfig {
-                boundary_cache_entries: 0,
-                ..EngineConfig::default()
-            },
-        )
-        .unwrap();
+        let engine = ShardedEngine::new(g.clone(), ShardPlan::ExplicitCuts(vec![2, 4])).unwrap();
         for k in 1..=3 {
-            for window in [g.span(), TimeWindow::new(2, 6), TimeWindow::new(3, 5)] {
+            for window in [g.span(), TimeWindow::new(2, 6), TimeWindow::new(2, 3)] {
+                assert!(engine.overlapping_shards(window).len() > 1, "{window}");
                 let query = TimeRangeKCoreQuery::new(k, window).unwrap();
-                let mut a = CollectingSink::default();
-                cached.run(&query, &mut a).unwrap();
-                let mut b = CollectingSink::default();
-                transient.run(&query, &mut b).unwrap();
-                assert_eq!(canonical(a.cores), canonical(b.cores), "k={k} {window}");
+                for algo in [Algorithm::Enum, Algorithm::EnumBase] {
+                    let mut got = CollectingSink::default();
+                    let stats = engine.run_with(&query, algo, &mut got).unwrap();
+                    let delivered_edges: u64 = got.cores.iter().map(|c| c.edges.len() as u64).sum();
+                    assert_eq!(
+                        stats.num_cores,
+                        got.cores.len() as u64,
+                        "k={k} {window} {algo}"
+                    );
+                    assert_eq!(
+                        stats.total_result_edges, delivered_edges,
+                        "k={k} {window} {algo}"
+                    );
+                    let mut ttis: Vec<TimeWindow> = got.cores.iter().map(|c| c.tti).collect();
+                    ttis.sort();
+                    ttis.dedup();
+                    assert_eq!(ttis.len(), got.cores.len(), "a core was delivered twice");
+                    // One enumeration of the window's skyline: the same
+                    // cores in the same order as a fresh per-query run.
+                    let mut fresh = CollectingSink::default();
+                    query.run_with(&g, algo, &mut fresh);
+                    assert_eq!(got.cores, fresh.cores, "k={k} {window} {algo}");
+                }
             }
         }
-        let stats = transient.cache_stats();
-        assert_eq!(stats.boundary.builds, 0, "disabled cache never builds");
-        assert_eq!(stats.boundary.resident_entries, 0);
-        assert!(cached.cache_stats().boundary.builds >= 1);
     }
 
     #[test]

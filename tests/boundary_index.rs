@@ -1,10 +1,8 @@
-//! Correctness harness for the boundary-stitch index (`BoundaryIndex`):
-//! boundary-spanning queries answered by composing cached cut-crossing
-//! windows with the restricted per-shard skylines must equal both the PR 3
-//! transient-merge path (`boundary_cache_entries = 0`, which rebuilds a
-//! merged sub-window skyline per spanning query) and fresh, uncached
-//! per-query execution — over random graphs, random shard plans, random
-//! windows and all four algorithms.
+//! Correctness harness for the boundary-stitch index: boundary-spanning
+//! queries answered by composing cached cut-crossing windows with the
+//! restricted per-shard skylines must equal fresh, uncached per-query
+//! execution — over random graphs, random shard plans, random windows and
+//! all four algorithms.
 
 use proptest::prelude::*;
 use temporal_kcore::prelude::*;
@@ -49,36 +47,24 @@ fn plan_for(kind: u8, param: usize, tmax: Timestamp) -> ShardPlan {
     }
 }
 
-fn stitch_engine(g: &TemporalGraph, plan: &ShardPlan, cache_entries: usize) -> ShardedEngine {
-    ShardedEngine::with_config(
-        g.clone(),
-        plan.clone(),
-        EngineConfig {
-            boundary_cache_entries: cache_entries,
-            ..EngineConfig::default()
-        },
-    )
-    .expect("derived plans are valid")
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// For random graphs, plans and windows, the stitched boundary path
     /// (cached cut-crossing windows composed with restricted shard
-    /// skylines) equals the transient-merge path and fresh per-query
-    /// execution, for every algorithm — and repeating each query answers from the
-    /// cache without growing the build counters.
+    /// skylines) equals fresh per-query execution, for every algorithm —
+    /// and repeating each query answers from the cache without growing the
+    /// build counters.
     #[test]
-    fn stitched_equals_transient_equals_unsharded(
+    fn stitched_equals_unsharded(
         g in arb_graph(10, 40, 8),
         k in 1usize..4,
         (kind, param) in (0u8..4, 0usize..16),
         (raw_start, raw_len) in (1u32..=8, 0u32..8),
     ) {
         let plan = plan_for(kind, param, g.tmax());
-        let stitched = stitch_engine(&g, &plan, 32);
-        let transient = stitch_engine(&g, &plan, 0);
+        let stitched =
+            ShardedEngine::new(g.clone(), plan.clone()).expect("derived plans are valid");
 
         let start = raw_start.min(g.tmax());
         let random = TimeWindow::new(start, (start + raw_len).min(g.tmax()));
@@ -96,20 +82,10 @@ proptest! {
                 let mut via_stitch = CollectingSink::default();
                 stitched.run_with(&query, algo, &mut via_stitch)
                     .expect("window is inside the span");
-                let mut via_transient = CollectingSink::default();
-                transient.run_with(&query, algo, &mut via_transient)
-                    .expect("window is inside the span");
-                let expected = canonical(expected.cores);
                 prop_assert_eq!(
                     canonical(via_stitch.cores),
-                    expected.clone(),
+                    canonical(expected.cores),
                     "stitched: {:?} k={} window={} algo={}",
-                    plan, k, window, algo
-                );
-                prop_assert_eq!(
-                    canonical(via_transient.cores),
-                    expected,
-                    "transient: {:?} k={} window={} algo={}",
                     plan, k, window, algo
                 );
             }
@@ -126,8 +102,6 @@ proptest! {
             stats.boundary.builds, builds_after_first_pass,
             "warm replay must not rebuild stitch entries: {:?}", stats.boundary
         );
-        // The transient engine never populates the stitch cache.
-        prop_assert_eq!(transient.cache_stats().boundary.builds, 0);
     }
 }
 

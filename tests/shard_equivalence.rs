@@ -8,11 +8,10 @@
 //!   random graphs, random shard plans (including the degenerate one-shard
 //!   and one-shard-per-timestamp layouts), all four algorithms and the
 //!   `Algorithm`/`ShardedBackend` pair; every `(k, window)` query must
-//!   return identical cores and counts through both paths.  The sharded
-//!   engine runs with its default boundary-stitch cache, so the property
-//!   also proves the stitched boundary pass exact (the dedicated
-//!   `boundary_index` harness additionally compares it against the
-//!   transient-merge path);
+//!   return identical cores and counts through both paths.  Spanning
+//!   windows are answered from the stitched skyline of the window, so the
+//!   property also proves the boundary stitch exact (the dedicated
+//!   `boundary_index` harness additionally checks stitch-entry reuse);
 //! * `affine_service_matches_unsharded` — the same equivalence through a
 //!   shard-affinity multi-worker `CoreService` (per-shard lanes, stealing),
 //!   proving the scheduler never changes answers;
